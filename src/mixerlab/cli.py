@@ -114,6 +114,8 @@ def _run_experiment(config: dict, parallel: int):
     name = config["experiment"]
     seed = int(config["seed"])
     trials = int(config.get("trials", 1000))
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     params = dict(config.get("params", {}))
     budgets = dict(config.get("budgets", {}))
     rows = []

@@ -241,9 +241,11 @@ class PointFunction:
     y: int | None = None
     queries: int = field(default=0)
 
-    def __call__(self, r: int) -> int:
-        self.queries += 1
-        return 1 if self.y is not None and r == self.y else 0
+    def __post_init__(self):
+        if self.y is not None and not 0 <= self.y < 1 << self.n:
+            raise InvalidArgumentError(
+                f"point {self.y} out of range for a {self.n}-bit point function"
+            )
 
     def peek(self, r: int) -> int:
         """Unmetered evaluation for privileged construction code."""
@@ -340,11 +342,9 @@ def instance_from_config(spec: dict) -> InstanceBundle:
         return InstanceBundle(oracle, truth)
     if family == "grover":
         n = int(spec.pop("n"))
-        point = spec.pop("point", None)
-        y = None if point is None else int(point, 2) if isinstance(point, str) else int(point)
+        g = _point_function(n, spec.pop("point", None))
         _reject_unknown(spec, "grover")
-        g = PointFunction(n, y)
-        return InstanceBundle(make_grover_mixer(n, g), make_grover_partition(n, y), point=g)
+        return InstanceBundle(make_grover_mixer(n, g), make_grover_partition(n, g.y), point=g)
     if family == "layered":
         from .layered import hide_instance, make_layered_instance
 
@@ -354,10 +354,7 @@ def instance_from_config(spec: dict) -> InstanceBundle:
         point = spec.pop("point", None)
         hide = bool(spec.pop("hide", False))
         _reject_unknown(spec, "layered")
-        g = None
-        if variant == "grover":
-            y = None if point is None else int(point, 2) if isinstance(point, str) else int(point)
-            g = PointFunction(base.truth.n, y)
+        g = _point_function(base.truth.n, point) if variant == "grover" else None
         inst = make_layered_instance(
             base.oracle, base.truth, variant, j=None if j is None else int(j), g=g
         )
@@ -365,6 +362,14 @@ def instance_from_config(spec: dict) -> InstanceBundle:
             inst = hide_instance(inst, np.random.default_rng([seed, 0x91D]))
         return InstanceBundle(inst.mixer2n, inst.truth2n, point=g, layered=inst)
     raise InvalidArgumentError(f"unknown instance family: {family!r}")
+
+
+def _point_function(n: int, point) -> PointFunction:
+    """A point function from a config's ``point``: absent, a bit string, or
+    an integer."""
+    if point is None:
+        return PointFunction(n)
+    return PointFunction(n, int(point, 2) if isinstance(point, str) else int(point))
 
 
 def _reject_unknown(leftover: dict, family: str):

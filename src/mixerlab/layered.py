@@ -1,16 +1,23 @@
 """Layered 2n-bit instances: embedding an n-bit mixer into a grid.
 
 A 2n-bit string is read as a pair (r, z) of n-bit numbers: r is the row, z
-the column. The base problem is embedded in one or more rows; every other
-element is its own component. Four variants are provided:
+the column. Every variant follows one rule. Base component 1 sits in row 0;
+the rest of the base (the other components and the garbage) sits in a
+single ``rest_row``, or nowhere. An element is *embedded* when it is (0, z)
+with z in S_1, or (rest_row, z) with z outside S_1; the mixer acts on
+embedded elements through the base action, and every other element is its
+own component. The variants differ only in where the rest goes:
 
-* ``row0``: the whole base problem lives in row 0, and the label collapses
-  all of row 0 to a single value (an intentionally invalid label when the
-  base has more than one component);
-* ``row_j``: component 1 stays in row 0, everything else moves to row j;
-* ``nowhere``: only component 1 is embedded; the label is valid;
-* ``grover``: a point function g selects the embedding at query time
-  (g identically zero gives ``nowhere``; g(j) = 1 gives ``row_j``).
+* ``row0``: rest_row = 0, so the whole base problem lives in row 0;
+* ``row_j``: rest_row = j;
+* ``nowhere``: no rest row; only component 1 is embedded;
+* ``grover``: rest_row is the marked point of a point function g (no rest
+  row when g is identically zero).
+
+The label gives every embedded element the label of (0, min S_1) and every
+other element its own value. It is therefore valid exactly when nothing is
+collapsed: there is no rest row, or the base is one component without
+garbage.
 
 The grover variant meters its point function: one g-query per classical
 evaluation of the mixer or label, two per coherent evaluation.
@@ -21,7 +28,9 @@ garbage set, keyed by the index's canonical rank. This keeps every variant
 cross-mixing-free and fully connected on its garbage component.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,14 +47,16 @@ VARIANTS = ("row0", "row_j", "nowhere", "grover")
 class LayeredInstance:
     base_oracle: MixerOracle
     base_truth: GroundTruthPartition
-    variant: str
-    j: int | None
-    g: PointFunction | None
     mixer2n: MixerOracle
     label2n: LabelOracle
-    truth2n: GroundTruthPartition
+    build_truth: Callable[[], GroundTruthPartition] = field(repr=False)
     pi: np.ndarray | None = None     # hiding permutation on 2n-bit strings
     sigma: np.ndarray | None = None  # label-scrambling permutation
+
+    @cached_property
+    def truth2n(self) -> GroundTruthPartition:
+        """The 2n-bit ground truth, built on first read."""
+        return self.build_truth()
 
     @property
     def n(self) -> int:
@@ -100,41 +111,31 @@ def make_layered_instance(
         if g.n != n:
             raise InvalidArgumentError("point function width must match base n")
 
+    rest_row = g.y if variant == "grover" else {"row0": 0, "row_j": j}.get(variant)
     act = _base_action(base_oracle, base_truth)
-    s1 = frozenset(base_truth.component_elements(1))
+    s1 = base_truth.component_elements(1)
+    in_s1 = frozenset(s1)
 
-    def in_s1(z: int) -> bool:
-        return z in s1
-
-    # ---- mixer ------------------------------------------------------------
+    def embedded(r: int, z: int) -> bool:
+        return (r == 0 and z in in_s1) or (r == rest_row and z not in in_s1)
 
     def mixer_fn(enc: int, x: int, sign: int) -> int:
         r, z = pair_decode(x, n)
-        if variant == "row0":
-            return pair_encode(0, act(enc, z, sign), n) if r == 0 else x
-        if variant == "nowhere":
-            if r == 0 and in_s1(z):
-                return pair_encode(0, act(enc, z, sign), n)
-            return x
-        if variant == "row_j":
-            if r == 0 and in_s1(z):
-                return pair_encode(0, act(enc, z, sign), n)
-            if r == j and not in_s1(z):
-                return pair_encode(j, act(enc, z, sign), n)
-            return x
-        # grover: the point function selects the embedding at query time
-        if r == 0 and in_s1(z):
-            return pair_encode(0, act(enc, z, sign), n)
-        if g.peek(r) == 1 and not in_s1(z):
-            return pair_encode(r, act(enc, z, sign), n)
-        return x
+        return pair_encode(r, act(enc, z, sign), n) if embedded(r, z) else x
 
-    def charge_g(*_args, coherent=False):
+    # (0, min S_1) is itself embedded, so no singleton shares its value
+    embedded_label = pair_encode(0, s1[0], n)
+
+    def label_fn(x: int) -> int:
+        return embedded_label if embedded(*pair_decode(x, n)) else x
+
+    def charge_g(coherent: bool) -> None:
         g.queries += 2 if coherent else 1
 
-    mixer_hook = None
+    mixer_hook = label_hook = None
     if variant == "grover":
-        mixer_hook = lambda enc, x, coherent: charge_g(coherent=coherent)
+        mixer_hook = lambda enc, x, coherent: charge_g(coherent)
+        label_hook = lambda x, coherent: charge_g(coherent)
 
     mixer2n = MixerOracle(
         n=2 * n,
@@ -146,96 +147,32 @@ def make_layered_instance(
         name=f"layered-{variant}({base_oracle.name})",
         on_metered_apply=mixer_hook,
     )
-
-    # ---- label --------------------------------------------------------------
-
-    def label_fn(x: int) -> int:
-        r, z = pair_decode(x, n)
-        if variant == "row0":
-            return 0 if r == 0 else x
-        if variant == "nowhere":
-            return 0 if r == 0 and in_s1(z) else x
-        if variant == "row_j":
-            if (r == 0 and in_s1(z)) or (r == j and not in_s1(z)):
-                return 0
-            return x
-        if r == 0 and in_s1(z):
-            return 0
-        if g.peek(r) == 1 and not in_s1(z):
-            return 0
-        return x
-
-    label_hook = None
-    if variant == "grover":
-        label_hook = lambda x, coherent: charge_g(coherent=coherent)
-
+    whole_base = base_truth.num_components == 1 and not base_truth.garbage
     label2n = LabelOracle(
         width=2 * n,
         label_width=2 * n,
         fn=label_fn,
-        valid=_label_is_valid(base_truth, variant, g),
+        valid=rest_row is None or whole_base,
         on_metered_query=label_hook,
         name=f"label-{variant}",
     )
 
-    truth2n = _layered_truth(base_truth, variant, j, g)
-    return LayeredInstance(
-        base_oracle, base_truth, variant, j, g, mixer2n, label2n, truth2n
-    )
+    def build_truth() -> GroundTruthPartition:
+        components = [[pair_encode(0, z, n) for z in s1]]
+        if rest_row is not None:
+            rest = [
+                base_truth.component_elements(a)
+                for a in range(2, base_truth.num_components + 1)
+            ]
+            if base_truth.garbage:
+                rest.append(base_truth.garbage)
+            components += [[pair_encode(rest_row, z, n) for z in cols] for cols in rest]
+        components += [
+            [x] for x in range(dim * dim) if not embedded(*pair_decode(x, n))
+        ]
+        return GroundTruthPartition.from_components(2 * n, components)
 
-
-def _label_is_valid(truth: GroundTruthPartition, variant, g) -> bool:
-    whole_row0 = truth.num_components == 1 and not truth.garbage
-    if variant == "nowhere":
-        return True
-    if variant == "row0":
-        return whole_row0
-    if variant == "row_j":
-        return whole_row0
-    # grover: all-zeros g means the nowhere label; otherwise a hidden row
-    return g.y is None or whole_row0
-
-
-def _layered_truth(
-    truth: GroundTruthPartition, variant: str, j, g
-) -> GroundTruthPartition:
-    n = truth.n
-    dim = 1 << n
-    effective = variant
-    if variant == "grover":
-        if g.y is None:
-            effective = "nowhere"
-        elif g.y == 0:
-            effective = "row0"
-        else:
-            effective, j = "row_j", g.y
-
-    components: list[list[int]] = []
-    placed: set[int] = set()
-
-    def place(row: int, cols) -> None:
-        elems = [pair_encode(row, z, n) for z in cols]
-        components.append(elems)
-        placed.update(elems)
-
-    if effective == "row0":
-        for a in range(1, truth.num_components + 1):
-            place(0, truth.component_elements(a))
-        if truth.garbage:
-            place(0, truth.garbage)
-    elif effective == "nowhere":
-        place(0, truth.component_elements(1))
-    else:  # row_j
-        place(0, truth.component_elements(1))
-        for a in range(2, truth.num_components + 1):
-            place(j, truth.component_elements(a))
-        if truth.garbage:
-            place(j, truth.garbage)
-
-    for x in range(dim * dim):
-        if x not in placed:
-            components.append([x])
-    return GroundTruthPartition.from_components(2 * n, components)
+    return LayeredInstance(base_oracle, base_truth, mixer2n, label2n, build_truth)
 
 
 def hide_instance(instance: LayeredInstance, rng) -> LayeredInstance:
@@ -278,19 +215,19 @@ def apply_hiding(
         on_metered_query=inner_l._on_metered_query,
         name=f"hidden-{inner_l.name}",
     )
-    component_of = {
-        int(pi[x]): cid for x, cid in instance.truth2n.component_of.items()
-    }
-    truth2n = GroundTruthPartition(2 * instance.n, component_of)
+
+    def build_truth() -> GroundTruthPartition:
+        component_of = {
+            int(pi[x]): cid for x, cid in instance.truth2n.component_of.items()
+        }
+        return GroundTruthPartition(2 * instance.n, component_of)
+
     return LayeredInstance(
         instance.base_oracle,
         instance.base_truth,
-        instance.variant,
-        instance.j,
-        instance.g,
         mixer2n,
         label2n,
-        truth2n,
+        build_truth,
         pi=pi,
         sigma=sigma,
     )

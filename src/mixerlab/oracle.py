@@ -67,18 +67,17 @@ class MixerOracle:
         return enc in self._index_set
 
     def apply_int(self, enc: int, x: int) -> int:
-        if enc not in self._index_set:
-            raise InvalidArgumentError(f"{enc} is not a valid index encoding")
-        if x not in self._member_set:
-            raise InvalidArgumentError(f"{x} is not a member of S")
-        return self._apply_fn(enc, x)
+        return self._checked(self._apply_fn, enc, x)
 
     def inverse_int(self, enc: int, x: int) -> int:
+        return self._checked(self._inverse_fn, enc, x)
+
+    def _checked(self, fn, enc: int, x: int) -> int:
         if enc not in self._index_set:
             raise InvalidArgumentError(f"{enc} is not a valid index encoding")
         if x not in self._member_set:
             raise InvalidArgumentError(f"{x} is not a member of S")
-        return self._inverse_fn(enc, x)
+        return fn(enc, x)
 
     def permutation_table(self, enc: int, alpha: int = 1) -> np.ndarray:
         """Basis map of M_i^alpha on all 2^n strings; identity off S.
@@ -174,20 +173,12 @@ class QuerySession:
         return MixerIndex(to_bits(enc, self.oracle.index_width))
 
     def apply(self, i, x):
-        self._charge()
-        self.apply_calls += 1
-        enc = self._index_int(i)
-        xi = as_int(x, self.oracle.n)
-        if enc not in self.oracle._index_set:
-            raise InvalidArgumentError(f"invalid index encoding {enc}")
-        if xi not in self.oracle._member_set:
-            raise InvalidArgumentError(f"{x!r} is not a member of S")
-        if self.oracle._on_metered_apply is not None:
-            self.oracle._on_metered_apply(enc, xi, self.coherent)
-        out = self.oracle._apply_fn(enc, xi)
-        return to_bits(out, self.oracle.n) if isinstance(x, str) else out
+        return self._metered_apply(self.oracle._apply_fn, i, x)
 
     def apply_inverse(self, i, x):
+        return self._metered_apply(self.oracle._inverse_fn, i, x)
+
+    def _metered_apply(self, fn, i, x):
         self._charge()
         self.apply_calls += 1
         enc = self._index_int(i)
@@ -198,12 +189,12 @@ class QuerySession:
             raise InvalidArgumentError(f"{x!r} is not a member of S")
         if self.oracle._on_metered_apply is not None:
             self.oracle._on_metered_apply(enc, xi, self.coherent)
-        out = self.oracle._inverse_fn(enc, xi)
+        out = fn(enc, xi)
         return to_bits(out, self.oracle.n) if isinstance(x, str) else out
 
 
 class LabelOracle:
-    """A queryable labeling function with its own query counter.
+    """A queryable labeling function.
 
     ``valid`` records whether the label is consistent with the mixer it was
     built for; it is constructor metadata, hidden from algorithms under test.
@@ -217,7 +208,6 @@ class LabelOracle:
         self._valid = valid
         self._on_metered_query = on_metered_query
         self.name = name
-        self.queries = 0
 
     @property
     def valid(self):
@@ -228,7 +218,6 @@ class LabelOracle:
         return self._fn(x)
 
     def query(self, x, coherent=False):
-        self.queries += 1
         xi = as_int(x, self.width)
         if self._on_metered_query is not None:
             self._on_metered_query(xi, coherent)

@@ -8,8 +8,6 @@ balanced-components promise is checked up front and violations raise.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidArgumentError, PromiseViolationError
 from .oracle import MixerOracle
 from .partition import GroundTruthPartition
@@ -275,12 +273,3 @@ def sd_reduction_mbcp(oracle: MixerOracle, truth: GroundTruthPartition) -> float
     diff = sum(abs(p - uniform_mass) for p in law.values())
     diff += (total_tuples - len(law)) * uniform_mass
     return 0.5 * diff
-
-
-def same_component_predicate_rate(truth: GroundTruthPartition) -> float:
-    """Probability that four independent uniform samples (a, x, b, y) pair up
-    with a~x and b~y in the same component."""
-    sizes = np.array(truth.component_sizes(), dtype=float)
-    total = sizes.sum()
-    p_pair = float(np.sum((sizes / total) ** 2))
-    return p_pair * p_pair

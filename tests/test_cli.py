@@ -156,3 +156,39 @@ def test_invalid_json_is_a_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run_cli("run", str(path)).returncode == 1
+
+
+@pytest.mark.parametrize(
+    "experiment, config_trials, args",
+    [
+        ("am", None, ["--trials", "0"]),
+        ("am", None, ["--trials", "-3"]),
+        ("am", 0, []),
+        ("grover-embed", None, ["--trials", "0"]),
+    ],
+)
+def test_trials_below_one_is_a_config_error(tmp_path, experiment, config_trials, args):
+    config = {
+        "experiment": experiment,
+        "seed": 1,
+        "instance": {"family": "offset", "partition": BALANCED},
+        "params": {"merlin": "honest"} if experiment == "am" else {"n": 4, "q": 2},
+    }
+    if config_trials is not None:
+        config["trials"] = config_trials
+    proc = run_cli("run", write_config(tmp_path, "c.json", config), *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:") and "trials" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_point_out_of_range_is_a_config_error(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {"experiment": "verify-mixer", "seed": 1,
+         "instance": {"family": "grover", "n": 2, "point": "111"}},
+    )
+    proc = run_cli("run", cfg)
+    assert proc.returncode == 1
+    assert "point 7 out of range" in proc.stderr

@@ -126,6 +126,13 @@ def test_instance_from_config_families():
     assert layered.layered.pi is not None
 
 
+def test_point_out_of_range_is_rejected():
+    with pytest.raises(InvalidArgumentError, match="point 9 out of range"):
+        PointFunction(2, 9)
+    with pytest.raises(InvalidArgumentError, match="point -1 out of range"):
+        PointFunction(2, -1)
+
+
 def test_instance_from_config_rejects_unknown_fields():
     with pytest.raises(InvalidArgumentError):
         instance_from_config({"family": "coset", "modulus": 6, "generators": [2], "x": 1})

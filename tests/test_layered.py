@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mixerlab import (
     GroundTruthPartition,
@@ -181,3 +182,51 @@ def test_gated_variant_meters_its_point_function(base):
     inst.mixer2n.apply_int(oracle.index_ints[0], 0)
     inst.label2n.label_int(0)
     assert g.queries == before
+
+
+def test_ground_truth_is_built_on_first_read(base, monkeypatch):
+    oracle, truth = base
+    builds = []
+    init = GroundTruthPartition.__init__
+
+    def counting_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GroundTruthPartition, "__init__", counting_init)
+    inst = make_layered_instance(oracle, truth, "row_j", j=1)
+    hidden = hide_instance(inst, np.random.default_rng(3))
+    assert builds == []
+    assert hidden.truth2n is hidden.truth2n
+    assert len(builds) == 2  # the unhidden truth, then its permuted image
+
+
+@st.composite
+def layered_cases(draw):
+    """(n, base components, variant, j, marked point, hiding seed); tag 0
+    marks garbage, and each other tag value is one base component."""
+    n = draw(st.integers(1, 3))
+    dim = 1 << n
+    tags = draw(st.lists(st.integers(0, dim), min_size=dim, max_size=dim).filter(any))
+    components = [
+        [x for x in range(dim) if tags[x] == t] for t in sorted(set(tags) - {0})
+    ]
+    variant = draw(st.sampled_from(VARIANTS))
+    j = draw(st.integers(1, dim - 1)) if variant == "row_j" else None
+    y = draw(st.none() | st.integers(0, dim - 1)) if variant == "grover" else None
+    return n, components, variant, j, y, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_cases())
+@example((1, [[1]], "nowhere", None, None, 0))
+@example((2, [[2, 3], [0, 1]], "grover", None, None, 0))
+def test_layered_instances_mix_and_flag_their_label_honestly(case):
+    n, components, variant, j, y, seed = case
+    truth = GroundTruthPartition.from_components(n, components)
+    g = PointFunction(n, y) if variant == "grover" else None
+    inst = make_layered_instance(make_offset_mixer(truth), truth, variant, j=j, g=g)
+    for candidate in (inst, hide_instance(inst, np.random.default_rng(seed))):
+        assert verify_no_cross_mixing(candidate.mixer2n, candidate.truth2n)
+        consistent = is_label_consistent(candidate.label2n, candidate.truth2n)
+        assert candidate.label2n.valid == consistent
