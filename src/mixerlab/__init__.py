@@ -45,6 +45,7 @@ from .verify import (
     instant_mixing_bound,
     is_label_consistent,
     tv_distance,
+    verify_full_connectivity,
     verify_instant_mixing,
     verify_no_cross_mixing,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "to_bits",
     "trace_distance",
     "tv_distance",
+    "verify_full_connectivity",
     "verify_instant_mixing",
     "verify_no_cross_mixing",
 ]

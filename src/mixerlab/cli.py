@@ -1,11 +1,12 @@
 """Command-line front end.
 
-``mixerlab run config.json`` builds the configured instance, dispatches to
-the named experiment, prints a summary, and writes a JSON report. Reports
-are bit-reproducible for equal (config, version) up to the wall-time field.
+``mixerlab run config.json`` builds the configured instance, hands it to the
+library runner of the named experiment, prints a summary, and writes a JSON
+report formatted from the runner's result. Reports are bit-reproducible for
+equal (config, version) up to the wall-time field.
 
-Exit codes: 0 success, 1 malformed config, 2 promise violation, 3 query
-budget exhausted.
+Exit codes: 0 success, 1 malformed config or command line, 2 promise
+violation, 3 query budget exhausted.
 """
 
 import argparse
@@ -13,8 +14,6 @@ import csv
 import json
 import sys
 import time
-
-import numpy as np
 
 from . import __version__
 from .counterfeit import (
@@ -25,39 +24,44 @@ from .counterfeit import (
 )
 from .errors import BudgetExhaustedError, MixerError, PromiseViolationError
 from .instances import instance_from_config
-from .oracle import MixerOracle
-from .partition import GroundTruthPartition
 from .protocols import (
-    EstimatedProbability,
-    am_mbcp_trial,
     build_qma_witness,
-    coam_mbcp_trial,
-    qma_verify_mc,
+    run_am_mbcp,
+    run_coam_mbcp,
+    run_projector_demo,
+    run_qma_mc,
     sd_reduction_mbcp,
     sd_reduction_scp,
 )
-from .quantum import QuantumState, measure_component_projector
+from .quantum import QuantumState
 from .bits import as_int
-from .trials import run_seeded_trials
 from .verify import (
-    full_connectivity_witness,
     instant_mixing_bound,
+    verify_full_connectivity,
     verify_instant_mixing,
     verify_no_cross_mixing,
 )
 
 SCHEMA_VERSION = 1
 
+# experiment -> (top-level fields it reads, {"params.<key>" or
+# "budgets.<key>": what that key takes}); no other params or budgets key is
+# accepted
 EXPERIMENTS = {
-    "am": "instance, trials, seed; params.merlin in {honest, optimal_cheat}",
-    "coam": "instance, trials, seed",
-    "counterfeit": "instance (base), trials, seed; params.alg, params.scan_count, budgets.counterfeiter",
-    "grover-embed": "trials, seed; params.n, params.q",
-    "projector-demo": "instance, trials, seed; params.s (bit string)",
-    "qma": "instance, trials, seed; params.k1, params.k2",
-    "sd-mbcp": "instance, seed",
-    "sd-scp": "instance, seed; params.s, params.t (bit strings)",
-    "verify-mixer": "instance, seed",
+    "am": ("instance, trials, seed", {"params.merlin": "honest or optimal_cheat"}),
+    "coam": ("instance, trials, seed", {}),
+    "counterfeit": ("instance (base), trials, seed", {
+        "params.alg": "reference or scan",
+        "params.scan_count": "int",
+        "params.s": "bit string",
+        "budgets.counterfeiter": "int",
+    }),
+    "grover-embed": ("trials, seed", {"params.n": "int", "params.q": "int"}),
+    "projector-demo": ("instance, trials, seed", {"params.s": "bit string"}),
+    "qma": ("instance, trials, seed", {"params.k1": "component id", "params.k2": "component id"}),
+    "sd-mbcp": ("instance, seed", {}),
+    "sd-scp": ("instance, seed", {"params.s": "bit string", "params.t": "bit string"}),
+    "verify-mixer": ("instance, seed", {}),
 }
 
 _TOP_LEVEL_FIELDS = {
@@ -84,33 +88,34 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if "seed" not in config:
         raise ConfigError("seed is mandatory")
-    if config.get("experiment") not in EXPERIMENTS:
+    name = config.get("experiment")
+    if name not in EXPERIMENTS:
         raise ConfigError(
             f"experiment must be one of {sorted(EXPERIMENTS)}"
         )
+    keys = EXPERIMENTS[name][1]
+    for section in ("params", "budgets"):
+        given = config.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"{section} must be a JSON object")
+        for key in given:
+            if f"{section}.{key}" not in keys:
+                raise ConfigError(f"unknown {section} key {key!r} for experiment {name}")
     return config
 
 
-def _rate_payload(flags: list, extra: dict | None = None) -> dict:
-    est = EstimatedProbability(sum(flags) / len(flags), len(flags))
+def _rate_payload(est, extra: dict | None = None) -> dict:
     payload = {"accept_rate": est.estimate, "ci95": est.ci95, "trials": est.trials}
     if extra:
         payload.update(extra)
     return payload
 
 
-def _connectivity_ok(oracle: MixerOracle, truth: GroundTruthPartition) -> bool:
-    if len(truth.members) > 64:
-        return True  # skipped at larger sizes; the verifier suite covers it
-    for s in truth.members:
-        for t in truth.members:
-            witness = full_connectivity_witness(oracle, truth, s, t)
-            if truth.same_component(s, t) != (witness is not None):
-                return False
-    return True
+def _rows(outcomes, column: str, value) -> list[dict]:
+    return [{"trial": t, column: value(o)} for t, o in enumerate(outcomes)]
 
 
-def _run_experiment(config: dict, parallel: int):
+def _run_experiment(config: dict):
     name = config["experiment"]
     seed = int(config["seed"])
     trials = int(config.get("trials", 1000))
@@ -138,34 +143,20 @@ def _run_experiment(config: dict, parallel: int):
             "instant_mixing_tv": tv,
             "instant_mixing_bound": instant_mixing_bound(truth.n),
             "meets_bound": tv <= instant_mixing_bound(truth.n),
-            "full_connectivity_ok": _connectivity_ok(oracle, truth),
+            "full_connectivity_ok": verify_full_connectivity(oracle, truth),
         }, rows
 
     if name == "am":
-        from .protocols import _require_mbcp_promise
-
-        _require_mbcp_promise(truth)
         merlin = params.get("merlin", "honest")
-        results = run_seeded_trials(
-            lambda t, rng: am_mbcp_trial(oracle, truth, merlin, rng),
-            trials, seed, parallel,
-        )
-        flags = [ok for ok, _ in results]
-        rows = [{"trial": t, "accept": int(ok)} for t, (ok, _) in enumerate(results)]
+        est = run_am_mbcp(oracle, truth, merlin, trials, seed)
+        rows = _rows(est.outcomes, "accept", lambda o: int(o[0]))
         return _rate_payload(
-            flags,
-            {"merlin": merlin, "arthur_queries_per_trial": results[0][1]},
+            est, {"merlin": merlin, "arthur_queries_per_trial": est.outcomes[0][1]}
         ), rows
 
     if name == "coam":
-        from .protocols import _require_mbcp_promise
-
-        _require_mbcp_promise(truth)
-        flags = run_seeded_trials(
-            lambda t, rng: coam_mbcp_trial(oracle, rng), trials, seed, parallel
-        )
-        rows = [{"trial": t, "accept": int(ok)} for t, ok in enumerate(flags)]
-        return _rate_payload(flags), rows
+        est = run_coam_mbcp(oracle, truth, trials, seed)
+        return _rate_payload(est), _rows(est.outcomes, "accept", int)
 
     if name == "qma":
         if truth.num_components > 1:
@@ -173,15 +164,10 @@ def _run_experiment(config: dict, parallel: int):
             k2 = int(params.get("k2", 2))
             witness = build_qma_witness(truth, k1, k2)
         else:
-            dim = 1 << truth.n
-            single = QuantumState.uniform(dim, truth.members)
+            single = QuantumState.uniform(1 << truth.n, truth.members)
             witness = single.tensor(single)
-        flags = run_seeded_trials(
-            lambda t, rng: qma_verify_mc(witness, oracle, rng),
-            trials, seed, parallel,
-        )
-        rows = [{"trial": t, "accept": int(ok)} for t, ok in enumerate(flags)]
-        return _rate_payload(flags), rows
+        est = run_qma_mc(oracle, witness, trials, seed)
+        return _rate_payload(est), _rows(est.outcomes, "accept", int)
 
     if name == "sd-scp":
         s = params["s"]
@@ -193,24 +179,12 @@ def _run_experiment(config: dict, parallel: int):
 
     if name == "projector-demo":
         s = as_int(params["s"], truth.n)
-        dim = 1 << truth.n
         comp_size = len(truth.component_elements(truth.component_id(s)))
-
-        def one(t, rng):
-            state = QuantumState.basis((dim,), s)
-            session = oracle.session(rng=rng)
-            result = measure_component_projector(state, oracle, rng, session=session)
-            return result.outcome, session.quantum_breakdown.get("CM", 0)
-
-        results = run_seeded_trials(one, trials, seed, parallel)
-        flags = [out for out, _ in results]
-        rows = [{"trial": t, "outcome": out} for t, (out, _) in enumerate(results)]
+        est = run_projector_demo(oracle, s, trials, seed)
+        rows = _rows(est.outcomes, "outcome", lambda o: o[0])
         return _rate_payload(
-            flags,
-            {
-                "expected_rate": 1.0 / comp_size,
-                "cm_queries_per_call": results[0][1],
-            },
+            est,
+            {"expected_rate": 1.0 / comp_size, "cm_queries_per_call": est.outcomes[0][1]},
         ), rows
 
     if name == "counterfeit":
@@ -243,7 +217,7 @@ def run_command(args) -> int:
 
     start = time.monotonic()
     try:
-        results, rows = _run_experiment(config, args.parallel)
+        results, rows = _run_experiment(config)
     except PromiseViolationError as exc:
         print(f"promise violation: {exc}", file=sys.stderr)
         return 2
@@ -280,12 +254,23 @@ def run_command(args) -> int:
 def list_experiments_command(_args) -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
-        print(f"{name:<{width}}  {EXPERIMENTS[name]}")
+        fields, keys = EXPERIMENTS[name]
+        described = "".join(f"; {key} ({what})" for key, what in keys.items())
+        print(f"{name:<{width}}  {fields}{described}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors exit 1, like a malformed config; exit 2 means a
+    promise violation here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixerlab", description="Component-mixer query experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -294,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to the config JSON")
     run_p.add_argument("--output", default=None, help="report output path")
     run_p.add_argument("--csv", default=None, help="trial-level CSV output path")
-    run_p.add_argument("--parallel", type=int, default=1, metavar="N")
     run_p.add_argument("--trials", type=int, default=None, help="override trials")
     run_p.add_argument("--seed", type=int, default=None, help="override seed")
     run_p.set_defaults(func=run_command)

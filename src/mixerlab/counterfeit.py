@@ -26,7 +26,7 @@ from .layered import LayeredInstance, apply_hiding, hide_instance, make_layered_
 from .oracle import LabelSession, MixerOracle, QuerySession
 from .partition import GroundTruthPartition
 from .quantum import DensityMatrix, QuantumState, trace_distance
-from .trials import trial_rng
+from .trials import run_seeded_trials, trial_rng
 
 
 def _component_closure(mixer: QuerySession, label: LabelSession, start: int):
@@ -192,42 +192,35 @@ def distinguishing_experiment(
     """
     n = base_truth.n
     d2 = 1 << (2 * n)
-    acc_zero = np.zeros((d2, d2), dtype=complex)
-    acc_point = np.zeros((d2, d2), dtype=complex)
-    g_max = 0
-    detections = [0, 0]
+    # one density sum per arm, accumulated trial by trial
+    acc = np.zeros((2, d2, d2), dtype=complex)
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def one(t, rng):
         pi = rng.permutation(d2)
         sigma = rng.permutation(d2)
         y = int(rng.integers(1 << n))
-        for arm, g in enumerate(
-            (PointFunction(n, None), PointFunction(n, y))
-        ):
+        records = []
+        for arm, g in enumerate((PointFunction(n, None), PointFunction(n, y))):
             instance = make_layered_instance(base_oracle, base_truth, "grover", g=g)
             instance = apply_hiding(instance, pi, sigma)
             alg = alg_factory()
             state, _, _ = run_counterfeiter(alg, instance, s, rng)
             v = state.amp.reshape(-1)
-            if arm == 0:
-                acc_zero += np.outer(v, v.conj())
-            else:
-                acc_point += np.outer(v, v.conj())
-            g_max = max(g_max, g.queries)
-            if getattr(alg, "last_detected", False):
-                detections[arm] += 1
+            acc[arm] += np.outer(v, v.conj())
+            records.append((g.queries, getattr(alg, "last_detected", False)))
+        return records
 
-    rho_zero = DensityMatrix(acc_zero / trials)
-    rho_point = DensityMatrix(acc_point / trials)
+    per_trial = run_seeded_trials(one, trials, seed)
+    rho_zero = DensityMatrix(acc[0] / trials)
+    rho_point = DensityMatrix(acc[1] / trials)
     return DistinguishingReport(
         rho_zero=rho_zero,
         rho_point=rho_point,
         distance=trace_distance(rho_zero, rho_point),
-        g_queries_max=g_max,
+        g_queries_max=max(q for arms in per_trial for q, _ in arms),
         trials=trials,
-        detections_zero=detections[0],
-        detections_point=detections[1],
+        detections_zero=sum(arms[0][1] for arms in per_trial),
+        detections_point=sum(arms[1][1] for arms in per_trial),
     )
 
 
@@ -253,8 +246,8 @@ def hiding_indistinguishability_check(
 
     row0 = make_layered_instance(base_oracle, base_truth, "row0")
     nowhere = make_layered_instance(base_oracle, base_truth, "nowhere")
-    for p in range(num_perms):
-        rng = trial_rng(seed, p)
+
+    def agree(p, rng):
         pi = rng.permutation(d2)
         sigma = rng.permutation(d2)
         h_row0 = apply_hiding(row0, pi, sigma)
@@ -274,9 +267,9 @@ def hiding_indistinguishability_check(
         out1, _, _ = run_counterfeiter(
             ReferenceCounterfeiter(), h_nowhere, start, trial_rng(seed, 10_000 + p)
         )
-        if not np.allclose(out0.amp, out1.amp):
-            return False
-    return True
+        return np.allclose(out0.amp, out1.amp)
+
+    return all(run_seeded_trials(agree, num_perms, seed))
 
 
 def scanning_detection_probability(
@@ -357,26 +350,24 @@ def grover_embedding_query_experiment(
     from .instances import make_grover_mixer
     from .protocols import EstimatedProbability
 
-    successes = 0
-    g_total = 0
-    g_max = 0
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def one(t, rng):
         marked = t % 2 == 1
         y = int(rng.integers(1 << n)) if marked else None
         g = PointFunction(n, y)
         oracle = make_grover_mixer(n, g)
         answer = tester(oracle.session(rng=rng), n, q, rng)
         expected = "multiple" if marked else "single"
-        successes += answer == expected
-        g_total += g.queries
-        g_max = max(g_max, g.queries)
-    est = EstimatedProbability(successes / trials, trials)
+        return answer == expected, g.queries
+
+    est = EstimatedProbability.from_outcomes(
+        run_seeded_trials(one, trials, seed), accepted=lambda r: r[0]
+    )
+    g_queries = [g for _, g in est.outcomes]
     return GroverEmbeddingReport(
         q=q,
         trials=trials,
         success_rate=est.estimate,
         ci95=est.ci95,
-        g_queries_mean=g_total / trials,
-        g_queries_max=g_max,
+        g_queries_mean=sum(g_queries) / trials,
+        g_queries_max=max(g_queries),
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import as_int, from_bits, to_bits
-from .errors import BudgetExhaustedError, InvalidArgumentError, MalformedQueryError
+from .errors import BudgetExhaustedError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,6 @@ class MixerOracle:
 
     def is_member(self, x: int) -> bool:
         return x in self._member_set
-
-    def is_index(self, enc: int) -> bool:
-        return enc in self._index_set
 
     def apply_int(self, enc: int, x: int) -> int:
         return self._checked(self._apply_fn, enc, x)
@@ -159,9 +156,6 @@ class QuerySession:
         self._charge()
         x = self.oracle.members[self.rng.integers(len(self.oracle.members))]
         return int(x)
-
-    def sample_s_bits(self) -> str:
-        return to_bits(self.sample_s(), self.oracle.n)
 
     def test_membership_ind(self, i) -> bool:
         self._charge()

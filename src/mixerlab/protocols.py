@@ -6,8 +6,9 @@ balanced-components promise is checked up front and violations raise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .bits import as_int
 from .errors import InvalidArgumentError, PromiseViolationError
 from .oracle import MixerOracle
 from .partition import GroundTruthPartition
@@ -24,10 +25,23 @@ ARTHUR_QUERIES_PER_AM_TRIAL = 4  # two samples, one index draw, one apply
 
 @dataclass(frozen=True)
 class EstimatedProbability:
-    """A Monte Carlo acceptance estimate with a 95% normal-approx interval."""
+    """A Monte Carlo acceptance estimate with a 95% normal-approx interval.
+
+    ``outcomes`` holds the per-trial records the estimate was built from, in
+    trial order; equality and the JSON form ignore them.
+    """
 
     estimate: float
     trials: int
+    outcomes: tuple = field(default=(), compare=False, repr=False)
+
+    @classmethod
+    def from_outcomes(cls, outcomes, accepted=bool) -> "EstimatedProbability":
+        """The acceptance rate of per-trial records; ``accepted(record)``
+        is the record's accept flag."""
+        outcomes = tuple(outcomes)
+        accepts = sum(1 for o in outcomes if accepted(o))
+        return cls(accepts / len(outcomes), len(outcomes), outcomes)
 
     @property
     def ci95(self) -> float:
@@ -87,15 +101,13 @@ def run_am_mbcp(
     merlin: str,
     trials: int,
     seed: int,
-    parallel: int = 1,
 ) -> EstimatedProbability:
+    """Outcomes are (accepted, Arthur's query count) per trial."""
     _require_mbcp_promise(truth)
     results = run_seeded_trials(
-        lambda t, rng: am_mbcp_trial(oracle, truth, merlin, rng),
-        trials, seed, parallel,
+        lambda t, rng: am_mbcp_trial(oracle, truth, merlin, rng), trials, seed
     )
-    accepts = sum(1 for ok, _ in results if ok)
-    return EstimatedProbability(accepts / trials, trials)
+    return EstimatedProbability.from_outcomes(results, accepted=lambda r: r[0])
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +134,12 @@ def run_coam_mbcp(
     truth: GroundTruthPartition,
     trials: int,
     seed: int,
-    parallel: int = 1,
 ) -> EstimatedProbability:
     _require_mbcp_promise(truth)
     results = run_seeded_trials(
-        lambda t, rng: coam_mbcp_trial(oracle, rng), trials, seed, parallel
+        lambda t, rng: coam_mbcp_trial(oracle, rng), trials, seed
     )
-    return EstimatedProbability(sum(results) / trials, trials)
+    return EstimatedProbability.from_outcomes(results)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +179,36 @@ def run_qma_mc(
     witness: QuantumState,
     trials: int,
     seed: int,
-    parallel: int = 1,
 ) -> EstimatedProbability:
     results = run_seeded_trials(
-        lambda t, rng: qma_verify_mc(witness, oracle, rng), trials, seed, parallel
+        lambda t, rng: qma_verify_mc(witness, oracle, rng), trials, seed
     )
-    return EstimatedProbability(sum(results) / trials, trials)
+    return EstimatedProbability.from_outcomes(results)
+
+
+# ---------------------------------------------------------------------------
+# Component-projector measurement on a basis state
+# ---------------------------------------------------------------------------
+
+def run_projector_demo(
+    oracle: MixerOracle, s, trials: int, seed: int
+) -> EstimatedProbability:
+    """Measure the component projector on |s> once per trial.
+
+    Outcomes are (flag outcome, CM queries charged) per trial; the flag is 1
+    with probability 1/|component(s)|.
+    """
+    si = as_int(s, oracle.n)
+
+    def one(t, rng):
+        state = QuantumState.basis((1 << oracle.n,), si)
+        session = oracle.session(rng=rng)
+        result = measure_component_projector(state, oracle, rng, session=session)
+        return result.outcome, session.quantum_breakdown.get("CM", 0)
+
+    return EstimatedProbability.from_outcomes(
+        run_seeded_trials(one, trials, seed), accepted=lambda r: r[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +269,6 @@ def sd_reduction_scp(
     Zero iff s and t share a component (for exact mixers); one when the
     components are disjoint.
     """
-    from .bits import as_int
-
     si = as_int(s, oracle.n)
     ti = as_int(t, oracle.n)
     if si not in truth or ti not in truth:

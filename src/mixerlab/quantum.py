@@ -4,11 +4,11 @@ States are complex amplitude vectors shaped by a tuple of register
 dimensions. All operators are applied exactly; measurement outcomes are
 sampled from Born probabilities with a caller-supplied generator.
 
-Quantum query accounting: preparing or projecting onto the uniform-S or
-uniform-Ind state charges one query; a controlled-mixer application charges
-one query; the component-projector measurement charges exactly two
-controlled-mixer queries (compute and uncompute) plus two index-register
-queries (prepare and reflect).
+Quantum query accounting: preparing or projecting onto the uniform-S state
+charges one query; a controlled-mixer application charges one query; the
+component-projector measurement charges exactly two controlled-mixer
+queries (compute and uncompute) plus two index-register queries (prepare
+and reflect).
 """
 
 from dataclasses import dataclass
@@ -179,13 +179,6 @@ def prepare_uniform_s(oracle: MixerOracle, session: QuerySession | None = None):
     return QuantumState((1 << oracle.n,), _uniform_s_vector(oracle))
 
 
-def prepare_uniform_ind(oracle: MixerOracle, session: QuerySession | None = None):
-    if session is not None:
-        session.charge_quantum("prepare_Ind")
-    k = len(oracle.index_ints)
-    return QuantumState((k,), np.full(k, 1.0 / np.sqrt(k), dtype=complex))
-
-
 def _project_onto_vector(state: QuantumState, vec: np.ndarray, axis: int, rng):
     amp = np.moveaxis(state.amp, axis, -1)
     comp = amp @ vec.conj()
@@ -210,20 +203,6 @@ def project_uniform_s(
     if session is not None:
         session.charge_quantum("project_S")
     return _project_onto_vector(state, _uniform_s_vector(oracle), axis, rng)
-
-
-def project_uniform_ind(
-    state: QuantumState, oracle: MixerOracle, rng, axis: int = 0,
-    session: QuerySession | None = None,
-):
-    """Projective measurement onto the uniform superposition over Ind."""
-    k = len(oracle.index_ints)
-    if state.dims[axis] != k:
-        raise InvalidArgumentError("axis dimension must be |Ind|")
-    if session is not None:
-        session.charge_quantum("project_Ind")
-    vec = np.full(k, 1.0 / np.sqrt(k), dtype=complex)
-    return _project_onto_vector(state, vec, axis, rng)
 
 
 def apply_cm(

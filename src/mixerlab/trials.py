@@ -1,10 +1,9 @@
-"""Seeded, optionally parallel trial execution.
+"""Seeded serial trial execution.
 
-Each trial gets its own generator derived from (seed, trial index), so results
-are independent of execution order and of the number of workers.
+Each trial gets its own generator derived from (seed, trial index), so a
+trial's random stream depends only on its index, never on how many draws
+earlier trials made. Trials run in index order in the calling thread.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -13,12 +12,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def run_seeded_trials(fn, trials: int, seed: int, parallel: int = 1) -> list:
+def run_seeded_trials(fn, trials: int, seed: int) -> list:
     """Run ``fn(trial_index, rng)`` for each trial; results in index order."""
-    def one(t: int):
-        return fn(t, trial_rng(seed, t))
-
-    if parallel <= 1:
-        return [one(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(one, range(trials)))
+    return [fn(t, trial_rng(seed, t)) for t in range(trials)]

@@ -1,18 +1,13 @@
 """Verifiers that check a candidate mixer against its ground truth.
 
-These run with privileged access to the partition and enumerate exhaustively
-at desk scale (|S| up to 2^12); above that, total variation is estimated by
-Monte Carlo sampling.
+These run with privileged access to the partition and enumerate every
+member and every index, so each verdict is exact.
 """
-
-import numpy as np
 
 from .bits import as_int, to_bits
 from .errors import InvalidArgumentError
 from .oracle import LabelOracle, MixerIndex, MixerOracle
 from .partition import GroundTruthPartition
-
-EXACT_TV_LIMIT = 1 << 12
 
 
 def tv_distance(p: dict, q: dict) -> float:
@@ -36,42 +31,38 @@ def verify_no_cross_mixing(oracle: MixerOracle, truth: GroundTruthPartition) -> 
     return True
 
 
-def verify_instant_mixing(
-    oracle: MixerOracle,
-    truth: GroundTruthPartition,
-    rng=None,
-    samples: int = 20000,
-) -> float:
-    """Max over x of TV(law of M_I(x) for uniform I, uniform on x's component).
-
-    Exact by enumeration when |S| * |Ind| is small enough; otherwise a Monte
-    Carlo estimate over ``samples`` draws per starting element.
-    """
+def verify_instant_mixing(oracle: MixerOracle, truth: GroundTruthPartition) -> float:
+    """Max over x of TV(law of M_I(x) for uniform I, uniform on x's component),
+    exact by enumeration."""
     k = len(oracle.index_ints)
-    exact = len(truth.members) * k <= EXACT_TV_LIMIT * 16
-    if not exact and rng is None:
-        rng = np.random.default_rng()
     worst = 0.0
     for x in truth.members:
         comp = truth.component_elements(truth.component_id(x))
-        if exact:
-            # integer counts keep the exact case free of float roundoff
-            counts: dict[int, int] = {}
-            for enc in oracle.index_ints:
-                y = oracle.apply_int(enc, x)
-                counts[y] = counts.get(y, 0) + 1
-            numerator = sum(
-                abs(counts.get(u, 0) * len(comp) - k) for u in comp
-            ) + sum(c * len(comp) for u, c in counts.items() if u not in comp)
-            worst = max(worst, numerator / (2 * k * len(comp)))
-        else:
-            uniform = {u: 1.0 / len(comp) for u in comp}
-            law: dict[int, float] = {}
-            for enc in rng.choice(oracle.index_ints, size=samples):
-                y = oracle.apply_int(int(enc), x)
-                law[y] = law.get(y, 0.0) + 1.0 / samples
-            worst = max(worst, tv_distance(law, uniform))
+        # integer counts keep the result free of float roundoff
+        counts: dict[int, int] = {}
+        for enc in oracle.index_ints:
+            y = oracle.apply_int(enc, x)
+            counts[y] = counts.get(y, 0) + 1
+        numerator = sum(
+            abs(counts.get(u, 0) * len(comp) - k) for u in comp
+        ) + sum(c * len(comp) for u, c in counts.items() if u not in comp)
+        worst = max(worst, numerator / (2 * k * len(comp)))
     return worst
+
+
+def verify_full_connectivity(oracle: MixerOracle, truth: GroundTruthPartition) -> bool:
+    """True iff every member reaches exactly its own component in one step.
+
+    ``{M_i(s) : i in Ind}`` restricted to S must equal the component of s;
+    this is the pairwise ``full_connectivity_witness`` sweep, one image set
+    per member.
+    """
+    for s in truth.members:
+        images = {oracle.apply_int(enc, s) for enc in oracle.index_ints}
+        reached = {y for y in images if y in truth}
+        if reached != set(truth.component_elements(truth.component_id(s))):
+            return False
+    return True
 
 
 def full_connectivity_witness(

@@ -36,6 +36,8 @@ def test_list_experiments():
     names = [line.split()[0] for line in proc.stdout.strip().splitlines()]
     assert "verify-mixer" in names and "counterfeit" in names
     assert names == sorted(names)
+    counterfeit = next(line for line in proc.stdout.splitlines() if line.startswith("counterfeit"))
+    assert "params.s" in counterfeit and "budgets.counterfeiter" in counterfeit
 
 
 def test_verify_mixer_run_and_report_shape(tmp_path):
@@ -72,7 +74,7 @@ def test_reports_are_deterministic(tmp_path):
     )
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert run_cli("run", cfg, "--output", out1).returncode == 0
-    assert run_cli("run", cfg, "--output", out2, "--parallel", "2").returncode == 0
+    assert run_cli("run", cfg, "--output", out2).returncode == 0
     assert load_payload(out1) == load_payload(out2)
 
 
@@ -192,3 +194,45 @@ def test_point_out_of_range_is_a_config_error(tmp_path):
     proc = run_cli("run", cfg)
     assert proc.returncode == 1
     assert "point 7 out of range" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--parallel", "2"], ["--trials", "abc"], ["--bogus"]])
+def test_command_line_errors_exit_1(tmp_path, args):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {"experiment": "coam", "seed": 1, "trials": 5,
+         "instance": {"family": "offset", "partition": BALANCED}},
+    )
+    proc = run_cli("run", cfg, *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_missing_subcommand_exits_1_and_help_exits_0():
+    proc = run_cli()
+    assert proc.returncode == 1 and proc.stderr.startswith("usage:")
+    assert run_cli("run", "--help").returncode == 0
+
+
+@pytest.mark.parametrize(
+    "experiment, section, entries",
+    [
+        ("am", "params", {"merlim": "optimal_cheat"}),
+        ("coam", "params", {"merlin": "honest"}),
+        ("counterfeit", "budgets", {"mixer": 5}),
+    ],
+)
+def test_unknown_params_or_budgets_key_is_a_config_error(tmp_path, experiment, section, entries):
+    config = {
+        "experiment": experiment,
+        "seed": 1,
+        "trials": 5,
+        "instance": {"family": "offset", "partition": BALANCED},
+        section: entries,
+    }
+    proc = run_cli("run", write_config(tmp_path, "c.json", config))
+    assert proc.returncode == 1
+    key = next(iter(entries))
+    assert proc.stderr.startswith("config error:") and repr(key) in proc.stderr
