@@ -104,6 +104,29 @@ def _load_config(path: str) -> dict:
     return config
 
 
+_REQUIRED = object()
+
+
+def _field(section: dict, label: str, default=_REQUIRED):
+    """The value that ``label`` ("instance", "params.s", ...) names in
+    ``section``, or ``default``; a missing required field is a config error
+    naming it."""
+    key = label.rpartition(".")[2]
+    if key in section:
+        return section[key]
+    if default is _REQUIRED:
+        raise ConfigError(f"{label} is required")
+    return default
+
+
+def _int_field(section: dict, label: str, default=_REQUIRED):
+    """:func:`_field` for a field that takes a JSON integer."""
+    value = _field(section, label, default)
+    if value is not default and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
 def _rate_payload(est, extra: dict | None = None) -> dict:
     payload = {"accept_rate": est.estimate, "ci95": est.ci95, "trials": est.trials}
     if extra:
@@ -117,8 +140,8 @@ def _rows(outcomes, column: str, value) -> list[dict]:
 
 def _run_experiment(config: dict):
     name = config["experiment"]
-    seed = int(config["seed"])
-    trials = int(config.get("trials", 1000))
+    seed = _int_field(config, "seed")
+    trials = _int_field(config, "trials", 1000)
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     params = dict(config.get("params", {}))
@@ -127,11 +150,12 @@ def _run_experiment(config: dict):
 
     if name == "grover-embed":
         report = grover_embedding_query_experiment(
-            n=int(params["n"]), q=int(params["q"]), trials=trials, seed=seed
+            n=_int_field(params, "params.n"), q=_int_field(params, "params.q"),
+            trials=trials, seed=seed,
         )
         return report.to_json_dict(), rows
 
-    bundle = instance_from_config(config["instance"])
+    bundle = instance_from_config(_field(config, "instance"))
     oracle, truth = bundle.oracle, bundle.truth
 
     if name == "verify-mixer":
@@ -160,8 +184,8 @@ def _run_experiment(config: dict):
 
     if name == "qma":
         if truth.num_components > 1:
-            k1 = int(params.get("k1", 1))
-            k2 = int(params.get("k2", 2))
+            k1 = _int_field(params, "params.k1", 1)
+            k2 = _int_field(params, "params.k2", 2)
             witness = build_qma_witness(truth, k1, k2)
         else:
             single = QuantumState.uniform(1 << truth.n, truth.members)
@@ -170,15 +194,15 @@ def _run_experiment(config: dict):
         return _rate_payload(est), _rows(est.outcomes, "accept", int)
 
     if name == "sd-scp":
-        s = params["s"]
-        t = params["t"]
+        s = _field(params, "params.s")
+        t = _field(params, "params.t")
         return {"statistical_difference": sd_reduction_scp(oracle, truth, s, t)}, rows
 
     if name == "sd-mbcp":
         return {"statistical_difference": sd_reduction_mbcp(oracle, truth)}, rows
 
     if name == "projector-demo":
-        s = as_int(params["s"], truth.n)
+        s = as_int(_field(params, "params.s"), truth.n)
         comp_size = len(truth.component_elements(truth.component_id(s)))
         est = run_projector_demo(oracle, s, trials, seed)
         rows = _rows(est.outcomes, "outcome", lambda o: o[0])
@@ -189,8 +213,8 @@ def _run_experiment(config: dict):
 
     if name == "counterfeit":
         alg_name = params.get("alg", "reference")
-        budget = budgets.get("counterfeiter")
-        scan_count = int(params.get("scan_count", 0))
+        budget = _int_field(budgets, "budgets.counterfeiter", None)
+        scan_count = _int_field(params, "params.scan_count", 0)
         if alg_name == "reference":
             factory = lambda: ReferenceCounterfeiter(budget=budget)
         elif alg_name == "scan":
@@ -224,7 +248,7 @@ def run_command(args) -> int:
     except BudgetExhaustedError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, KeyError, MixerError) as exc:
+    except (ConfigError, MixerError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     wall = time.monotonic() - start

@@ -322,34 +322,36 @@ def instance_from_config(spec: dict) -> InstanceBundle:
     """
     import numpy as np
 
+    if not isinstance(spec, dict):
+        raise InvalidArgumentError(f"an instance spec must be a JSON object, got {spec!r}")
     spec = dict(spec)
     family = spec.pop("family", None)
     seed = spec.pop("seed", 0)
     if family == "offset":
-        truth = GroundTruthPartition.from_json_dict(spec.pop("partition"))
+        truth = GroundTruthPartition.from_json_dict(_take(spec, "partition", family))
         _reject_unknown(spec, "offset")
         return InstanceBundle(make_offset_mixer(truth), truth)
     if family == "graphiso":
-        v = int(spec.pop("v"))
+        v = int(_take(spec, "v", family))
         _reject_unknown(spec, "graphiso")
         oracle, truth = make_graph_iso_mixer(v)
         return InstanceBundle(oracle, truth)
     if family == "coset":
-        modulus = int(spec.pop("modulus"))
-        generators = [int(g) for g in spec.pop("generators")]
+        modulus = int(_take(spec, "modulus", family))
+        generators = [int(g) for g in _take(spec, "generators", family)]
         _reject_unknown(spec, "coset")
         oracle, truth = make_coset_mixer(modulus, generators)
         return InstanceBundle(oracle, truth)
     if family == "grover":
-        n = int(spec.pop("n"))
+        n = int(_take(spec, "n", family))
         g = _point_function(n, spec.pop("point", None))
         _reject_unknown(spec, "grover")
         return InstanceBundle(make_grover_mixer(n, g), make_grover_partition(n, g.y), point=g)
     if family == "layered":
         from .layered import hide_instance, make_layered_instance
 
-        base = instance_from_config(spec.pop("base"))
-        variant = spec.pop("variant")
+        base = instance_from_config(_take(spec, "base", family))
+        variant = _take(spec, "variant", family)
         j = spec.pop("j", None)
         point = spec.pop("point", None)
         hide = bool(spec.pop("hide", False))
@@ -370,6 +372,13 @@ def _point_function(n: int, point) -> PointFunction:
     if point is None:
         return PointFunction(n)
     return PointFunction(n, int(point, 2) if isinstance(point, str) else int(point))
+
+
+def _take(spec: dict, key: str, family: str):
+    """Remove and return a required field of an instance spec."""
+    if key not in spec:
+        raise InvalidArgumentError(f"family {family} needs field {key!r}")
+    return spec.pop(key)
 
 
 def _reject_unknown(leftover: dict, family: str):

@@ -5,6 +5,10 @@ tests, samplers, forward/inverse application). Algorithms under test go
 through a :class:`QuerySession`, which meters every query and can enforce a
 budget. Privileged code (constructors, verifiers) may use the underscore-free
 ``*_int`` accessors, which do not count queries.
+
+The quantum engine reads a mixer as stacked index-by-element tables
+(:meth:`MixerOracle.permutation_tables`), built on its first quantum use and
+cached on the oracle.
 """
 
 from dataclasses import dataclass
@@ -56,7 +60,8 @@ class MixerOracle:
         # Side-channel accounting (e.g. point-function queries) charged only
         # when an application goes through a metered session.
         self._on_metered_apply = on_metered_apply
-        self._perm_cache: dict[tuple[int, int], np.ndarray] = {}
+        # alpha -> (fwd, inv) stacked tables, see permutation_tables
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- privileged accessors (not metered) --------------------------------
 
@@ -77,28 +82,40 @@ class MixerOracle:
         return fn(enc, x)
 
     def permutation_table(self, enc: int, alpha: int = 1) -> np.ndarray:
-        """Basis map of M_i^alpha on all 2^n strings; identity off S.
+        """Basis map of M_i^alpha (alpha = 1 or -1) on all 2^n strings;
+        identity off S.
 
-        Raises if the resulting table is not a bijection (exact mixers always
-        are; the Grover embedding with a marked point is not).
+        Built afresh on every call; :meth:`permutation_tables` stacks these
+        rows once per oracle. Raises if the resulting table is not a
+        bijection (exact mixers always are; the Grover embedding with a
+        marked point is not).
         """
-        key = (enc, alpha)
-        table = self._perm_cache.get(key)
-        if table is None:
-            dim = 1 << self.n
-            fn = {1: self._apply_fn, -1: self._inverse_fn}.get(alpha)
-            if alpha == 0:
-                table = np.arange(dim)
-            else:
-                table = np.array(
-                    [fn(enc, s) if s in self._member_set else s for s in range(dim)]
-                )
-                if len(set(table.tolist())) != dim:
-                    raise InvalidArgumentError(
-                        f"mixer {self.name or '?'} index {enc} is not a bijection"
-                    )
-            self._perm_cache[key] = table
+        dim = 1 << self.n
+        fn = {1: self._apply_fn, -1: self._inverse_fn}[alpha]
+        table = np.array([fn(enc, s) if s in self._member_set else s for s in range(dim)])
+        if len(set(table.tolist())) != dim:
+            raise InvalidArgumentError(
+                f"mixer {self.name or '?'} index {enc} is not a bijection"
+            )
         return table
+
+    def permutation_tables(self, alpha: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked basis maps of M_i^alpha for every index, and their inverses.
+
+        Returns ``(fwd, inv)``, both of shape (|Ind|, 2^n) with rows in
+        ``index_ints`` order: ``fwd[j, x]`` is M_j^alpha(x) and ``inv[j]`` is
+        the row-wise ``argsort`` of ``fwd[j]``. The pair is built from
+        :meth:`permutation_table` on first use and cached on the oracle, so
+        oracles that never enter the quantum engine build no tables.
+        """
+        tables = self._tables.get(alpha)
+        if tables is None:
+            fwd = np.stack([self.permutation_table(enc, alpha) for enc in self.index_ints])
+            tables = (fwd, np.argsort(fwd, axis=1))
+            for table in tables:  # shared by every caller
+                table.flags.writeable = False
+            self._tables[alpha] = tables
+        return tables
 
     # -- session factory ----------------------------------------------------
 

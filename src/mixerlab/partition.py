@@ -67,7 +67,12 @@ class GroundTruthPartition:
             raise InvalidArgumentError(f"{x} is not a member of S") from None
 
     def component_elements(self, cid: int) -> tuple[int, ...]:
-        return self._components[cid]
+        try:
+            return self._components[cid]
+        except KeyError:
+            raise InvalidArgumentError(
+                f"no component {cid!r}: component ids run 1..{self.num_components}"
+            ) from None
 
     def component_sizes(self) -> tuple[int, ...]:
         return tuple(len(self._components[c]) for c in sorted(self._components))
@@ -92,6 +97,9 @@ class GroundTruthPartition:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GroundTruthPartition":
+        missing = {"n", "members", "component_of"} - set(doc)
+        if missing:
+            raise InvalidArgumentError(f"partition is missing fields {sorted(missing)}")
         n = int(doc["n"])
         component_of = {from_bits(s, n): int(c) for s, c in doc["component_of"].items()}
         members = {from_bits(s, n) for s in doc["members"]}

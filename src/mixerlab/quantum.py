@@ -9,6 +9,11 @@ charges one query; a controlled-mixer application charges one query; the
 component-projector measurement charges exactly two controlled-mixer
 queries (compute and uncompute) plus two index-register queries (prepare
 and reflect).
+
+Mixer applications read the oracle's stacked index-by-element tables
+(:meth:`MixerOracle.permutation_tables`): each controlled-mixer step is one
+array gather over the whole index register. The tables are built on the
+oracle's first quantum use and cached on it.
 """
 
 from dataclasses import dataclass
@@ -232,13 +237,12 @@ def apply_cm(
 
     work = np.moveaxis(state.amp, (alpha_axis, index_axis, element_axis), (-3, -2, -1))
     out = work.copy()
+    rows = np.arange(len(oracle.index_ints))[:, None]
     for ai, alpha in enumerate(ALPHA_VALUES):
         if alpha == 0:
             continue
-        for ji, enc in enumerate(oracle.index_ints):
-            fwd = oracle.permutation_table(enc, alpha)
-            inv = np.argsort(fwd)
-            out[..., ai, ji, :] = work[..., ai, ji, inv]
+        _, inv = oracle.permutation_tables(alpha)
+        out[..., ai, :, :] = work[..., ai, rows, inv]
     out = np.moveaxis(out, (-3, -2, -1), (alpha_axis, index_axis, element_axis))
     return QuantumState(state.dims, out)
 
@@ -268,11 +272,21 @@ def measure_component_projector(
     flag statistics equal <psi|P|psi> and the index register returns to |e0>
     unentangled. Garbage basis states (outside S) pass the measurement
     untouched, since every mixer application fixes them.
+
+    The work tensor holds r * 2^n * |Ind| * 2 amplitudes, where r is the
+    dimension of the other registers; above ``STATE_DIM_CAP`` this raises
+    before any table is built or memory allocated.
     """
     da = state.dims[axis]
     if da != 1 << oracle.n:
         raise InvalidArgumentError("axis dimension must be 2^n")
     k = len(oracle.index_ints)
+    work_size = state.amp.size * k * 2
+    if work_size > STATE_DIM_CAP:
+        raise InvalidArgumentError(
+            f"projector work tensor of {work_size} amplitudes exceeds the cap "
+            f"{STATE_DIM_CAP}"
+        )
     if session is not None:
         session.charge_quantum("CM", 2)
         session.charge_quantum("project_Ind", 2)
@@ -285,25 +299,22 @@ def measure_component_projector(
     amp = amp.reshape(-1, da)
     r = amp.shape[0]
 
-    # step 1: adjoin B = |e0> and C = |0>
+    fwd, inv = oracle.permutation_tables(1)
+
+    # steps 1-2: adjoin B = |e0> and C = |0>, then apply
+    # U = sum_j Mtilde_j (x) |j><j|, so that work[:, y, j, 0] = amp[:, inv[j, y]]
     work = np.zeros((r, da, k, 2), dtype=complex)
-    work[:, :, :, 0] = amp[:, :, None] / np.sqrt(k)
-
-    fwd_tables = [oracle.permutation_table(enc, 1) for enc in oracle.index_ints]
-    inv_tables = [np.argsort(t) for t in fwd_tables]
-
-    # step 2: U = sum_j Mtilde_j (x) |j><j|
-    for ji in range(k):
-        work[:, :, ji, :] = work[:, inv_tables[ji], ji, :]
+    work[:, :, :, 0] = amp[:, inv.T] / np.sqrt(k)
 
     # step 3: flip C on the |e0> component of B
     mean = work.sum(axis=2) / np.sqrt(k)           # <e0|_B work
     e0_part = mean[:, :, None, :] / np.sqrt(k)     # |e0><e0| work
     work = (work - e0_part) + e0_part[..., ::-1]
 
-    # step 4: uncompute with U^dagger
-    for ji in range(k):
-        work[:, :, ji, :] = work[:, fwd_tables[ji], ji, :]
+    # step 4: uncompute with U^dagger. Write into the C-ordered buffer rather
+    # than rebind ``work`` to the gather's result: the sums below round
+    # according to the memory layout they run over.
+    work[...] = work[:, fwd.T, np.arange(k), :]
 
     p1 = float(np.sum(np.abs(work[:, :, :, 1]) ** 2))
     outcome = 1 if rng.random() < p1 else 0
@@ -331,10 +342,9 @@ def measure_component_projector(
 def component_projector_matrix(oracle: MixerOracle) -> np.ndarray:
     """|Ind|^-1 sum_j Mtilde_j as a dense matrix on all 2^n basis states."""
     dim = 1 << oracle.n
+    fwd, _ = oracle.permutation_tables(1)
     acc = np.zeros((dim, dim))
-    for enc in oracle.index_ints:
-        fwd = oracle.permutation_table(enc, 1)
-        acc[fwd, np.arange(dim)] += 1.0
+    np.add.at(acc, (fwd, np.arange(dim)), 1.0)
     return acc / len(oracle.index_ints)
 
 

@@ -236,3 +236,30 @@ def test_unknown_params_or_budgets_key_is_a_config_error(tmp_path, experiment, s
     assert proc.returncode == 1
     key = next(iter(entries))
     assert proc.stderr.startswith("config error:") and repr(key) in proc.stderr
+
+
+COSET4 = {"family": "coset", "modulus": 4, "generators": [2]}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"experiment": "verify-mixer"}, "instance is required"),
+        ({"experiment": "grover-embed", "params": {"q": 2}}, "params.n is required"),
+        ({"experiment": "qma", "instance": COSET4, "params": {"k2": 9}},
+         "no component 9: component ids run 1..2"),
+        ({"experiment": "coam", "instance": COSET4, "seed": "x"},
+         "seed must be an integer, got 'x'"),
+        ({"experiment": "coam", "instance": COSET4, "trials": "x"},
+         "trials must be an integer, got 'x'"),
+        ({"experiment": "verify-mixer", "instance": {"family": "offset"}},
+         "family offset needs field 'partition'"),
+        ({"experiment": "verify-mixer", "instance": 5},
+         "an instance spec must be a JSON object, got 5"),
+    ],
+)
+def test_missing_or_malformed_field_is_a_config_error_naming_it(tmp_path, config, message):
+    config = {"seed": 1, "trials": 2, **config}
+    proc = run_cli("run", write_config(tmp_path, "c.json", config))
+    assert proc.returncode == 1
+    assert proc.stderr == f"config error: {message}\n"

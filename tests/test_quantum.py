@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixerlab import (
     DensityMatrix,
     GroundTruthPartition,
+    MixerOracle,
+    PointFunction,
     QuantumState,
     component_projector_matrix,
     exact_component_projector,
+    make_coset_mixer,
+    make_grover_mixer,
     make_offset_mixer,
     measure_component_projector,
     state_fidelity,
@@ -15,11 +20,14 @@ from mixerlab import (
 )
 from mixerlab.errors import InvalidArgumentError
 from mixerlab.quantum import (
+    ALPHA_VALUES,
+    STATE_DIM_CAP,
     apply_cm,
     component_superposition_via_projection,
     prepare_uniform_s,
     project_uniform_s,
 )
+from test_verify import partitions, restricted
 
 
 @pytest.fixture
@@ -189,3 +197,145 @@ def test_swap_test_probabilities():
     # overlap 1/sqrt(2): "different" with probability 1/4
     hits = sum(swap_test(a.tensor(d), rng)[0] == "different" for _ in range(4000))
     assert abs(hits / 4000 - 0.25) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# The table-based engine against per-index reference loops
+# ---------------------------------------------------------------------------
+
+def reference_projector(state, oracle, rng, axis=0):
+    """measure_component_projector as one loop over the index register per
+    mixer step, with a table and an argsort per index and call; returns
+    (outcome, probability_one, ancilla_fidelity, post-state amplitudes)."""
+    da = state.dims[axis]
+    k = len(oracle.index_ints)
+    amp = np.moveaxis(state.amp, axis, -1)
+    rest_shape = amp.shape[:-1]
+    amp = amp.reshape(-1, da)
+    r = amp.shape[0]
+    work = np.zeros((r, da, k, 2), dtype=complex)
+    work[:, :, :, 0] = amp[:, :, None] / np.sqrt(k)
+    fwd_tables = [oracle.permutation_table(enc, 1) for enc in oracle.index_ints]
+    inv_tables = [np.argsort(t) for t in fwd_tables]
+    for ji in range(k):
+        work[:, :, ji, :] = work[:, inv_tables[ji], ji, :]
+    mean = work.sum(axis=2) / np.sqrt(k)
+    e0_part = mean[:, :, None, :] / np.sqrt(k)
+    work = (work - e0_part) + e0_part[..., ::-1]
+    for ji in range(k):
+        work[:, :, ji, :] = work[:, fwd_tables[ji], ji, :]
+    p1 = float(np.sum(np.abs(work[:, :, :, 1]) ** 2))
+    outcome = 1 if rng.random() < p1 else 0
+    kept = work[:, :, :, outcome]
+    kept = kept / np.linalg.norm(kept)
+    proj_b = kept.sum(axis=2) / np.sqrt(k)
+    fidelity = float(np.linalg.norm(proj_b))
+    post = np.moveaxis((proj_b / fidelity).reshape(rest_shape + (da,)), -1, axis)
+    return outcome, p1, fidelity, QuantumState(state.dims, post).amp
+
+
+def reference_apply_cm(state, oracle, alpha_axis, index_axis, element_axis):
+    """apply_cm as one loop over (alpha, index) pairs."""
+    axes = (alpha_axis, index_axis, element_axis)
+    work = np.moveaxis(state.amp, axes, (-3, -2, -1))
+    out = work.copy()
+    for ai, alpha in enumerate(ALPHA_VALUES):
+        if alpha == 0:
+            continue
+        for ji, enc in enumerate(oracle.index_ints):
+            inv = np.argsort(oracle.permutation_table(enc, alpha))
+            out[..., ai, ji, :] = work[..., ai, ji, inv]
+    return np.moveaxis(out, (-3, -2, -1), axes)
+
+
+def random_state(dims, seed) -> QuantumState:
+    parts = np.random.default_rng(seed).normal(size=(2, *dims))
+    return QuantumState(dims, parts[0] + 1j * parts[1], normalize=True)
+
+
+@st.composite
+def oracles(draw):
+    """The offset mixer of a random n <= 3 partition, or the same maps under
+    a random subset of its indices (then the mixing is inexact and the
+    ancilla fidelity can fall below 1)."""
+    oracle = make_offset_mixer(draw(partitions()))
+    if draw(st.booleans()) and len(oracle.index_ints) > 1:
+        keep = draw(st.lists(st.sampled_from(oracle.index_ints), min_size=1, unique=True))
+        oracle = restricted(oracle, keep)
+    return oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    oracle=oracles(),
+    r=st.sampled_from([1, 3, 4]),
+    axis=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projector_is_bitwise_identical_to_the_per_index_loops(oracle, r, axis, seed):
+    da = 1 << oracle.n
+    state = random_state((da, r) if axis == 0 else (r, da), seed)
+    expected = reference_projector(state, oracle, np.random.default_rng(seed), axis)
+    result = measure_component_projector(state, oracle, np.random.default_rng(seed), axis)
+    assert result.outcome == expected[0]
+    assert result.probability_one == expected[1]
+    assert result.ancilla_fidelity == expected[2]
+    assert np.array_equal(result.state.amp, expected[3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle=oracles(), order=st.permutations([0, 1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_apply_cm_is_bitwise_identical_to_the_per_index_loop(oracle, order, seed):
+    sizes = (3, len(oracle.index_ints), 1 << oracle.n)
+    dims = [0, 0, 0]
+    for size, position in zip(sizes, order):
+        dims[position] = size
+    state = random_state(tuple(dims), seed)
+    out = apply_cm(state, oracle, *order)
+    assert np.array_equal(out.amp, reference_apply_cm(state, oracle, *order))
+
+
+def test_tables_are_built_once_on_first_quantum_use(setup, monkeypatch):
+    calls = []
+    original = MixerOracle.permutation_table
+
+    def counted(self, enc, alpha=1):
+        calls.append((enc, alpha))
+        return original(self, enc, alpha)
+
+    monkeypatch.setattr(MixerOracle, "permutation_table", counted)
+    oracle = make_offset_mixer(setup[1])
+    k = len(oracle.index_ints)
+    assert calls == []
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        measure_component_projector(QuantumState.basis((8,), 0), oracle, rng)
+    assert sorted(calls) == sorted((enc, 1) for enc in oracle.index_ints)
+    apply_cm(QuantumState.basis((3, k, 8), (0, 1, 0)), oracle, 0, 1, 2)
+    apply_cm(QuantumState.basis((3, k, 8), (2, 1, 0)), oracle, 0, 1, 2)
+    assert len(calls) == 2 * k
+    assert not any(t.flags.writeable for t in oracle.permutation_tables(1))
+
+
+def test_non_bijective_mixer_names_the_first_offending_index():
+    # with point 1 marked, index 1 sends both 0 and 3 to 0; index 0 is the identity
+    oracle = make_grover_mixer(2, PointFunction(2, 1))
+    for _ in range(2):  # a failed build caches nothing
+        with pytest.raises(InvalidArgumentError, match="grover-n2 index 1 is not a bijection"):
+            measure_component_projector(QuantumState.basis((4,), 0), oracle, np.random.default_rng(0))
+    k = len(oracle.index_ints)
+    with pytest.raises(InvalidArgumentError, match="index 1 is not a bijection"):
+        apply_cm(QuantumState.basis((3, k, 4), (2, 0, 0)), oracle, 0, 1, 2)
+
+
+def test_projector_work_tensor_is_capped_before_tables_are_built(monkeypatch):
+    oracle, _ = make_coset_mixer(1024, [1])
+    assert len(oracle.index_ints) == 1024
+    monkeypatch.setattr(oracle, "permutation_tables", lambda alpha=1: pytest.fail("tables built"))
+    session = oracle.session()
+    state = QuantumState.basis((1024, 4), (0, 0))
+    size = 1024 * 4 * 1024 * 2
+    assert size > STATE_DIM_CAP
+    with pytest.raises(InvalidArgumentError, match=f"work tensor of {size} amplitudes exceeds the cap"):
+        measure_component_projector(state, oracle, np.random.default_rng(0), session=session)
+    assert session.quantum_queries == 0
