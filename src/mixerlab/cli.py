@@ -22,8 +22,14 @@ from .counterfeit import (
     distinguishing_experiment,
     grover_embedding_query_experiment,
 )
-from .errors import BudgetExhaustedError, MixerError, PromiseViolationError
-from .instances import instance_from_config
+from .errors import (
+    BudgetExhaustedError,
+    MalformedQueryError,
+    MixerError,
+    PromiseViolationError,
+    check_int,
+)
+from .instances import GROVER_MAX_N, instance_from_config
 from .protocols import (
     build_qma_witness,
     run_am_mbcp,
@@ -52,11 +58,14 @@ EXPERIMENTS = {
     "coam": ("instance, trials, seed", {}),
     "counterfeit": ("instance (base), trials, seed", {
         "params.alg": "reference or scan",
-        "params.scan_count": "int",
+        "params.scan_count": "int, at least 0",
         "params.s": "bit string",
         "budgets.counterfeiter": "int",
     }),
-    "grover-embed": ("trials, seed", {"params.n": "int", "params.q": "int"}),
+    "grover-embed": ("trials, seed", {
+        "params.n": f"int, 1..{GROVER_MAX_N}",
+        "params.q": "int, at least 0",
+    }),
     "projector-demo": ("instance, trials, seed", {"params.s": "bit string"}),
     "qma": ("instance, trials, seed", {"params.k1": "component id", "params.k2": "component id"}),
     "sd-mbcp": ("instance, seed", {}),
@@ -119,12 +128,30 @@ def _field(section: dict, label: str, default=_REQUIRED):
     return default
 
 
-def _int_field(section: dict, label: str, default=_REQUIRED):
-    """:func:`_field` for a field that takes a JSON integer."""
+def _int_field(section: dict, label: str, default=_REQUIRED, low=None, high=None):
+    """:func:`_field` for a field that takes a JSON integer, at least ``low``
+    and at most ``high`` where given."""
     value = _field(section, label, default)
-    if value is not default and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    if value is default:
+        return value
+    check_int(value, label)
+    if high is not None and not low <= value <= high:
+        raise ConfigError(f"{label} must be between {low} and {high}, got {value}")
+    if low is not None and value < low:
+        raise ConfigError(f"{label} must be at least {low}, got {value}")
     return value
+
+
+def _element_field(section: dict, label: str, n: int) -> int:
+    """:func:`_field` for a required n-bit element, given as a bit string or
+    an integer."""
+    value = _field(section, label)
+    if not isinstance(value, str):
+        check_int(value, label)
+    try:
+        return as_int(value, n)
+    except MalformedQueryError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
 
 
 def _rate_payload(est, extra: dict | None = None) -> dict:
@@ -141,16 +168,15 @@ def _rows(outcomes, column: str, value) -> list[dict]:
 def _run_experiment(config: dict):
     name = config["experiment"]
     seed = _int_field(config, "seed")
-    trials = _int_field(config, "trials", 1000)
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+    trials = _int_field(config, "trials", 1000, low=1)
     params = dict(config.get("params", {}))
     budgets = dict(config.get("budgets", {}))
     rows = []
 
     if name == "grover-embed":
         report = grover_embedding_query_experiment(
-            n=_int_field(params, "params.n"), q=_int_field(params, "params.q"),
+            n=_int_field(params, "params.n", low=1, high=GROVER_MAX_N),
+            q=_int_field(params, "params.q", low=0),
             trials=trials, seed=seed,
         )
         return report.to_json_dict(), rows
@@ -194,15 +220,15 @@ def _run_experiment(config: dict):
         return _rate_payload(est), _rows(est.outcomes, "accept", int)
 
     if name == "sd-scp":
-        s = _field(params, "params.s")
-        t = _field(params, "params.t")
+        s = _element_field(params, "params.s", truth.n)
+        t = _element_field(params, "params.t", truth.n)
         return {"statistical_difference": sd_reduction_scp(oracle, truth, s, t)}, rows
 
     if name == "sd-mbcp":
         return {"statistical_difference": sd_reduction_mbcp(oracle, truth)}, rows
 
     if name == "projector-demo":
-        s = as_int(_field(params, "params.s"), truth.n)
+        s = _element_field(params, "params.s", truth.n)
         comp_size = len(truth.component_elements(truth.component_id(s)))
         est = run_projector_demo(oracle, s, trials, seed)
         rows = _rows(est.outcomes, "outcome", lambda o: o[0])
@@ -214,14 +240,15 @@ def _run_experiment(config: dict):
     if name == "counterfeit":
         alg_name = params.get("alg", "reference")
         budget = _int_field(budgets, "budgets.counterfeiter", None)
-        scan_count = _int_field(params, "params.scan_count", 0)
+        scan_count = _int_field(params, "params.scan_count", 0, low=0)
         if alg_name == "reference":
             factory = lambda: ReferenceCounterfeiter(budget=budget)
         elif alg_name == "scan":
             factory = lambda: LabelScanningCounterfeiter(scan_count, budget=budget)
         else:
             raise ConfigError(f"unknown counterfeiter {alg_name!r}")
-        s = as_int(params["s"], truth.n) if "s" in params else truth.component_elements(1)[0]
+        s = (_element_field(params, "params.s", truth.n) if "s" in params
+             else truth.component_elements(1)[0])
         report = distinguishing_experiment(oracle, truth, s, factory, trials, seed)
         return report.to_json_dict(), rows
 

@@ -308,11 +308,18 @@ def scanning_detection_probability(
 
 def fixed_point_probe_tester(session: QuerySession, n: int, q: int, rng) -> str:
     """Classical tester: q random applications; answer "multiple" iff any
-    non-trivial shift leaves its input fixed."""
+    non-trivial shift leaves its input fixed.
+
+    Probe k applies shift i_k in [1, 2^n) to x_k in [0, 2^n). All 2q values
+    are drawn up front in one call, in the order x_0, i_0, x_1, i_1, ...;
+    numpy's broadcast path draws them element by element with the same
+    bounded sampler as a scalar ``rng.integers`` call, so they equal the
+    values of 2q scalar calls. ``rng`` therefore advances by 2q draws
+    whatever the answer, also when a fixed point ends the loop early.
+    """
     dim = 1 << n
-    for _ in range(q):
-        x = int(rng.integers(dim))
-        i = int(rng.integers(1, dim))
+    probes = rng.integers(np.tile((0, 1), q), dim).reshape(q, 2).tolist()
+    for x, i in probes:
         if session.apply(i, x) == x:
             return "multiple"
     return "single"

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check that
+config and spec parsing raise through it."""
 
 
 class MixerError(Exception):
@@ -19,3 +20,11 @@ class BudgetExhaustedError(MixerError):
 
 class PromiseViolationError(MixerError):
     """An instance violates the promise required by a protocol."""
+
+
+def check_int(value, what: str) -> int:
+    """``value`` if it is an integer (a bool is not), else an
+    :class:`InvalidArgumentError` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -18,7 +18,8 @@ identity map.
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import InvalidArgumentError
+from .bits import from_bits
+from .errors import InvalidArgumentError, MalformedQueryError, check_int
 from .oracle import MixerOracle
 from .partition import GroundTruthPartition
 
@@ -252,6 +253,10 @@ class PointFunction:
         return 1 if self.y is not None and r == self.y else 0
 
 
+# make_grover_mixer enumerates all 2^n members and indices
+GROVER_MAX_N = 16
+
+
 def make_grover_mixer(n: int, g: PointFunction) -> MixerOracle:
     """Modular-shift mixer gated by a point function.
 
@@ -262,6 +267,8 @@ def make_grover_mixer(n: int, g: PointFunction) -> MixerOracle:
     Note the case formula is only approximately invertible near the marked
     point; round-trip identities hold exactly only for g all zeros.
     """
+    if not 1 <= n <= GROVER_MAX_N:
+        raise InvalidArgumentError(f"grover n must be between 1 and {GROVER_MAX_N}, got {n}")
     dim = 1 << n
 
     def apply_fn(enc: int, x: int) -> int:
@@ -326,24 +333,29 @@ def instance_from_config(spec: dict) -> InstanceBundle:
         raise InvalidArgumentError(f"an instance spec must be a JSON object, got {spec!r}")
     spec = dict(spec)
     family = spec.pop("family", None)
-    seed = spec.pop("seed", 0)
+    seed = check_int(spec.pop("seed", 0), "instance seed")
     if family == "offset":
         truth = GroundTruthPartition.from_json_dict(_take(spec, "partition", family))
         _reject_unknown(spec, "offset")
         return InstanceBundle(make_offset_mixer(truth), truth)
     if family == "graphiso":
-        v = int(_take(spec, "v", family))
+        v = _take_int(spec, "v", family)
         _reject_unknown(spec, "graphiso")
         oracle, truth = make_graph_iso_mixer(v)
         return InstanceBundle(oracle, truth)
     if family == "coset":
-        modulus = int(_take(spec, "modulus", family))
-        generators = [int(g) for g in _take(spec, "generators", family)]
+        modulus = _take_int(spec, "modulus", family)
+        generators = _take(spec, "generators", family)
+        if not isinstance(generators, list):
+            raise InvalidArgumentError(
+                f"family coset field 'generators' must be a list, got {generators!r}"
+            )
+        generators = [check_int(g, "family coset generator") for g in generators]
         _reject_unknown(spec, "coset")
         oracle, truth = make_coset_mixer(modulus, generators)
         return InstanceBundle(oracle, truth)
     if family == "grover":
-        n = int(_take(spec, "n", family))
+        n = _take_int(spec, "n", family)
         g = _point_function(n, spec.pop("point", None))
         _reject_unknown(spec, "grover")
         return InstanceBundle(make_grover_mixer(n, g), make_grover_partition(n, g.y), point=g)
@@ -354,11 +366,16 @@ def instance_from_config(spec: dict) -> InstanceBundle:
         variant = _take(spec, "variant", family)
         j = spec.pop("j", None)
         point = spec.pop("point", None)
-        hide = bool(spec.pop("hide", False))
+        hide = spec.pop("hide", False)
+        if not isinstance(hide, bool):
+            raise InvalidArgumentError(
+                f"family layered field 'hide' must be true or false, got {hide!r}"
+            )
         _reject_unknown(spec, "layered")
         g = _point_function(base.truth.n, point) if variant == "grover" else None
         inst = make_layered_instance(
-            base.oracle, base.truth, variant, j=None if j is None else int(j), g=g
+            base.oracle, base.truth, variant,
+            j=None if j is None else check_int(j, "family layered field 'j'"), g=g,
         )
         if hide:
             inst = hide_instance(inst, np.random.default_rng([seed, 0x91D]))
@@ -371,7 +388,12 @@ def _point_function(n: int, point) -> PointFunction:
     an integer."""
     if point is None:
         return PointFunction(n)
-    return PointFunction(n, int(point, 2) if isinstance(point, str) else int(point))
+    if isinstance(point, str):
+        try:
+            point = from_bits(point)
+        except MalformedQueryError as exc:
+            raise InvalidArgumentError(f"field 'point': {exc}") from None
+    return PointFunction(n, check_int(point, "field 'point'"))
 
 
 def _take(spec: dict, key: str, family: str):
@@ -379,6 +401,11 @@ def _take(spec: dict, key: str, family: str):
     if key not in spec:
         raise InvalidArgumentError(f"family {family} needs field {key!r}")
     return spec.pop(key)
+
+
+def _take_int(spec: dict, key: str, family: str) -> int:
+    """:func:`_take` for a field that takes an integer."""
+    return check_int(_take(spec, key, family), f"family {family} field {key!r}")
 
 
 def _reject_unknown(leftover: dict, family: str):

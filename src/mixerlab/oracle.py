@@ -35,6 +35,8 @@ class MixerOracle:
     ``index_ints`` is the canonical enumeration of valid index encodings;
     its order defines the basis of the quantum index register. The first
     entry is the identity map for every construction in this package.
+    Members lie in [0, 2^n) and index encodings in [0, 2^index_width), so
+    each is its own bit-string decoding.
     """
 
     def __init__(
@@ -130,6 +132,15 @@ class QuerySession:
     activities. ``coherent=True`` routes applications through the oracle's
     coherent-evaluation path (relevant only where that path carries extra
     side-channel accounting, e.g. point-function queries).
+
+    ``apply``/``apply_inverse`` take a plain ``int`` that is already a valid
+    index (or member) as is, skipping the bit-string conversion: every index
+    and member fits its width, so the conversion would return it unchanged.
+    Every other argument (bit strings, ``MixerIndex``, bools, numpy
+    integers, out-of-range or non-member ints) goes through the full
+    conversion and checks, with the same errors in the same order. The query
+    is charged first either way, so an exhausted budget is reported before a
+    bad argument.
     """
 
     def __init__(self, oracle: MixerOracle, rng=None, budget=None, coherent=False):
@@ -192,16 +203,18 @@ class QuerySession:
     def _metered_apply(self, fn, i, x):
         self._charge()
         self.apply_calls += 1
-        enc = self._index_int(i)
-        xi = as_int(x, self.oracle.n)
-        if enc not in self.oracle._index_set:
+        oracle = self.oracle
+        # an int already in the set is what the conversion would return
+        enc = i if type(i) is int and i in oracle._index_set else self._index_int(i)
+        xi = x if type(x) is int and x in oracle._member_set else as_int(x, oracle.n)
+        if enc not in oracle._index_set:
             raise InvalidArgumentError(f"invalid index encoding {enc}")
-        if xi not in self.oracle._member_set:
+        if xi not in oracle._member_set:
             raise InvalidArgumentError(f"{x!r} is not a member of S")
-        if self.oracle._on_metered_apply is not None:
-            self.oracle._on_metered_apply(enc, xi, self.coherent)
+        if oracle._on_metered_apply is not None:
+            oracle._on_metered_apply(enc, xi, self.coherent)
         out = fn(enc, xi)
-        return to_bits(out, self.oracle.n) if isinstance(x, str) else out
+        return to_bits(out, oracle.n) if isinstance(x, str) else out
 
 
 class LabelOracle:

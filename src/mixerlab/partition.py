@@ -8,7 +8,7 @@ algorithms under test only ever see oracle handles.
 import json
 
 from .bits import from_bits, to_bits
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int
 
 
 class GroundTruthPartition:
@@ -97,11 +97,20 @@ class GroundTruthPartition:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GroundTruthPartition":
+        if not isinstance(doc, dict):
+            raise InvalidArgumentError(f"a partition must be a JSON object, got {doc!r}")
         missing = {"n", "members", "component_of"} - set(doc)
         if missing:
             raise InvalidArgumentError(f"partition is missing fields {sorted(missing)}")
-        n = int(doc["n"])
-        component_of = {from_bits(s, n): int(c) for s, c in doc["component_of"].items()}
+        n = check_int(doc["n"], "partition n")
+        if not isinstance(doc["component_of"], dict) or not isinstance(doc["members"], list):
+            raise InvalidArgumentError(
+                "partition component_of must be a JSON object and members a list"
+            )
+        component_of = {
+            from_bits(s, n): check_int(c, "partition component id")
+            for s, c in doc["component_of"].items()
+        }
         members = {from_bits(s, n) for s in doc["members"]}
         if members != set(component_of):
             raise InvalidArgumentError("members and component_of keys disagree")

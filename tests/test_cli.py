@@ -256,6 +256,33 @@ COSET4 = {"family": "coset", "modulus": 4, "generators": [2]}
          "family offset needs field 'partition'"),
         ({"experiment": "verify-mixer", "instance": 5},
          "an instance spec must be a JSON object, got 5"),
+        ({"experiment": "grover-embed", "params": {"n": 0, "q": 2}},
+         "params.n must be between 1 and 16, got 0"),
+        ({"experiment": "grover-embed", "params": {"n": -2, "q": 2}},
+         "params.n must be between 1 and 16, got -2"),
+        # over the cap: rejected before any trial builds a mixer
+        ({"experiment": "grover-embed", "params": {"n": 17, "q": 2}},
+         "params.n must be between 1 and 16, got 17"),
+        ({"experiment": "grover-embed", "params": {"n": 4, "q": -1}},
+         "params.q must be at least 0, got -1"),
+        ({"experiment": "verify-mixer", "instance": {"family": "graphiso", "v": "x"}},
+         "family graphiso field 'v' must be an integer, got 'x'"),
+        ({"experiment": "verify-mixer", "instance": {"family": "offset", "partition": 5}},
+         "a partition must be a JSON object, got 5"),
+        ({"experiment": "projector-demo", "instance": COSET4, "params": {"s": [1]}},
+         "params.s must be an integer, got [1]"),
+        ({"experiment": "sd-scp", "instance": COSET4, "params": {"s": "00", "t": "0x"}},
+         "params.t: not a bit string: '0x'"),
+        ({"experiment": "verify-mixer",
+          "instance": {"family": "coset", "modulus": 4, "generators": 2}},
+         "family coset field 'generators' must be a list, got 2"),
+        ({"experiment": "verify-mixer", "instance": {"family": "grover", "n": 2, "point": "1x"}},
+         "field 'point': not a bit string: '1x'"),
+        ({"experiment": "verify-mixer", "instance": {"family": "grover", "n": -1}},
+         "grover n must be between 1 and 16, got -1"),
+        ({"experiment": "counterfeit", "instance": COSET4,
+          "params": {"alg": "scan", "scan_count": -5}},
+         "params.scan_count must be at least 0, got -5"),
     ],
 )
 def test_missing_or_malformed_field_is_a_config_error_naming_it(tmp_path, config, message):
@@ -263,3 +290,4 @@ def test_missing_or_malformed_field_is_a_config_error_naming_it(tmp_path, config
     proc = run_cli("run", write_config(tmp_path, "c.json", config))
     assert proc.returncode == 1
     assert proc.stderr == f"config error: {message}\n"
+

@@ -128,3 +128,64 @@ def test_gated_shift_distinguishing_is_query_limited():
     # success stays close to the guessing rate when q << 2^(n/2)
     assert report.success_rate <= 0.5 + 2 * 2.0 ** -5 + 3 * report.ci95
     assert report.g_queries_max <= 2 * 2 + 1  # per trial: q applies, 2 g queries each
+
+
+def _scalar_draw_tester(session, n, q, rng):
+    """Reference tester: the probe loop with two scalar ``rng.integers``
+    calls per probe, drawn only until the answer is known."""
+    dim = 1 << n
+    for _ in range(q):
+        x = int(rng.integers(dim))
+        i = int(rng.integers(1, dim))
+        if session.apply(i, x) == x:
+            return "multiple"
+    return "single"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+@pytest.mark.parametrize("marked", [False, True])
+def test_probe_tester_matches_scalar_draw_reference(n, marked):
+    from mixerlab import make_grover_mixer
+
+    early = 0
+    for seed in range(5):
+        # 4·2^n probes find a marked point with probability ~1 - e^-8
+        for q in (0, 1, 5, 4 << n):
+            outcomes = []
+            for tester in (fixed_point_probe_tester, _scalar_draw_tester):
+                rng = np.random.default_rng([seed, n, q])
+                g = PointFunction(n, int(rng.integers(1 << n)) if marked else None)
+                answer = tester(make_grover_mixer(n, g).session(rng=rng), n, q, rng)
+                # the stream continues alike once both testers drew all 2q values
+                after = int(rng.integers(1 << 62)) if answer == "single" else None
+                outcomes.append((answer, g.queries, after))
+            assert outcomes[0] == outcomes[1], (seed, q)
+            early += outcomes[0][0] == "multiple"
+    assert (early > 0) == marked
+
+
+@pytest.mark.parametrize("n, q, seed", [(1, 3, 5), (3, 0, 4), (3, 4, 1), (6, 2, 10), (10, 16, 2)])
+def test_grover_experiment_report_matches_scalar_draw_reference(n, q, seed):
+    report = grover_embedding_query_experiment(n=n, q=q, trials=60, seed=seed)
+    reference = grover_embedding_query_experiment(
+        n=n, q=q, trials=60, seed=seed, tester=_scalar_draw_tester
+    )
+    assert report.to_json_dict() == reference.to_json_dict()
+
+
+@pytest.mark.parametrize("lows, high", [
+    ((0, 1), 2), ((0, 1), 8), ((0, 1), 1024),
+    ((0, 1), 3 << 30),  # ~25% of 32-bit draws are rejected
+    ((0, 5, 2), 3 << 40),  # the 64-bit sampler
+])
+@pytest.mark.parametrize("prior", [None, 3, 1 << 40])
+def test_broadcast_integers_equal_scalar_calls(lows, high, prior):
+    """The numpy behaviour the probe tester relies on: ``rng.integers`` with
+    an array of low bounds draws element by element, like scalar calls."""
+    for seed in range(20):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        if prior is not None:  # a prior 32-bit draw leaves half a word buffered
+            assert batched.integers(prior) == scalar.integers(prior)
+        low = np.tile(lows, 40)
+        assert batched.integers(low, high).tolist() == [int(scalar.integers(b, high)) for b in low]
+        assert batched.integers(1 << 62) == scalar.integers(1 << 62)

@@ -126,6 +126,12 @@ def test_instance_from_config_families():
     assert layered.layered.pi is not None
 
 
+@pytest.mark.parametrize("n", [-1, 0, 17])
+def test_grover_mixer_n_is_capped_before_building(n):
+    with pytest.raises(InvalidArgumentError, match=f"grover n must be between 1 and 16, got {n}"):
+        make_grover_mixer(n, PointFunction(n))
+
+
 def test_point_out_of_range_is_rejected():
     with pytest.raises(InvalidArgumentError, match="point 9 out of range"):
         PointFunction(2, 9)

@@ -7,14 +7,20 @@ from mixerlab import (
     GroundTruthPartition,
     MalformedQueryError,
     MixerIndex,
+    PointFunction,
     full_connectivity_witness,
     instant_mixing_bound,
+    make_coset_mixer,
+    make_graph_iso_mixer,
+    make_grover_mixer,
     make_offset_mixer,
     tv_distance,
     verify_instant_mixing,
     verify_no_cross_mixing,
 )
+from mixerlab.bits import as_int, to_bits
 from mixerlab.errors import InvalidArgumentError
+from mixerlab.layered import hide_instance, make_layered_instance
 
 
 @pytest.fixture
@@ -115,3 +121,83 @@ def test_tv_distance():
     assert tv_distance({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
     assert tv_distance({0: 1.0}, {1: 1.0}) == 1.0
     assert tv_distance({0: 0.75, 1: 0.25}, {0: 0.25, 1: 0.75}) == pytest.approx(0.5)
+
+
+def _reference_metered_apply(session, fn, i, x):
+    """QuerySession's metered apply without the int fast path: every argument
+    goes through the bit-string conversion."""
+    session._charge()
+    session.apply_calls += 1
+    enc = session._index_int(i)
+    xi = as_int(x, session.oracle.n)
+    if enc not in session.oracle._index_set:
+        raise InvalidArgumentError(f"invalid index encoding {enc}")
+    if xi not in session.oracle._member_set:
+        raise InvalidArgumentError(f"{x!r} is not a member of S")
+    if session.oracle._on_metered_apply is not None:
+        session.oracle._on_metered_apply(enc, xi, session.coherent)
+    out = fn(enc, xi)
+    return to_bits(out, session.oracle.n) if isinstance(x, str) else out
+
+
+# offset mixer on [[0, 1, 2], [3, 4]]: indices 0..5 of width 3, members 0..4
+FAST_PATH_INDICES = [
+    2, 8, 7, True, np.int64(2), "010", "01", "0a0", MixerIndex("010"), MixerIndex("1"),
+]
+FAST_PATH_ELEMENTS = [3, 8, 6, True, np.int64(3), "011", "0111", "x", -1]
+
+
+def _outcome(call):
+    try:
+        out = call()
+    except Exception as exc:  # the exception is the outcome compared
+        return ("raised", type(exc), str(exc))
+    return ("returned", type(out), out)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_metered_apply_fast_path_matches_reference(setup, inverse):
+    oracle, _ = setup
+    fn = oracle._inverse_fn if inverse else oracle._apply_fn
+    for i in FAST_PATH_INDICES:
+        for x in FAST_PATH_ELEMENTS:
+            fast, ref = oracle.session(), oracle.session()
+            apply = fast.apply_inverse if inverse else fast.apply
+            got = _outcome(lambda: apply(i, x))
+            assert got == _outcome(lambda: _reference_metered_apply(ref, fn, i, x)), (i, x)
+            assert (fast.classical_queries, fast.apply_calls) == (ref.classical_queries, 1)
+    # int in, int out; str in, str out
+    assert _outcome(lambda: oracle.session().apply(2, 3))[1] is int
+    assert _outcome(lambda: oracle.session().apply(2, "011"))[1] is str
+
+
+def test_metered_apply_fast_path_charges_point_queries_like_reference():
+    g_fast, g_ref = PointFunction(3, 5), PointFunction(3, 5)
+    fast, ref = make_grover_mixer(3, g_fast).session(), make_grover_mixer(3, g_ref).session()
+    for i in range(8):
+        for x in range(8):
+            assert fast.apply(i, x) == _reference_metered_apply(ref, ref.oracle._apply_fn, i, x)
+    assert g_fast.queries == g_ref.queries == 128
+
+
+def test_budget_exhaustion_comes_before_argument_errors(setup):
+    oracle, _ = setup
+    for i in FAST_PATH_INDICES:
+        for x in FAST_PATH_ELEMENTS:
+            for name in ("apply", "apply_inverse"):
+                session = oracle.session(budget=0)
+                with pytest.raises(BudgetExhaustedError):
+                    getattr(session, name)(i, x)
+
+
+def test_every_family_keeps_indices_and_members_inside_their_width():
+    truth = GroundTruthPartition.from_components(3, [[0, 1, 2], [3, 4]])
+    offset = make_offset_mixer(truth)
+    graph, _ = make_graph_iso_mixer(3)
+    coset, _ = make_coset_mixer(12, [4])
+    layered = make_layered_instance(offset, truth, "row0")
+    hidden = hide_instance(layered, np.random.default_rng(0))
+    for oracle in (offset, graph, coset, make_grover_mixer(4, PointFunction(4, 9)),
+                   layered.mixer2n, hidden.mixer2n):
+        assert all(0 <= x < 1 << oracle.n for x in oracle.members)
+        assert all(0 <= e < 1 << oracle.index_width for e in oracle.index_ints)
