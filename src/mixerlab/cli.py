@@ -60,7 +60,7 @@ EXPERIMENTS = {
         "params.alg": "reference or scan",
         "params.scan_count": "int, at least 0",
         "params.s": "bit string",
-        "budgets.counterfeiter": "int",
+        "budgets.counterfeiter": "int, at least 0",
     }),
     "grover-embed": ("trials, seed", {
         "params.n": f"int, 1..{GROVER_MAX_N}",
@@ -97,6 +97,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if "seed" not in config:
         raise ConfigError("seed is mandatory")
+    if not isinstance(config.get("output", ""), str):
+        raise ConfigError(f"output must be a path string, got {config['output']!r}")
     name = config.get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError(
@@ -239,7 +241,7 @@ def _run_experiment(config: dict):
 
     if name == "counterfeit":
         alg_name = params.get("alg", "reference")
-        budget = _int_field(budgets, "budgets.counterfeiter", None)
+        budget = _int_field(budgets, "budgets.counterfeiter", None, low=0)
         scan_count = _int_field(params, "params.scan_count", 0, low=0)
         if alg_name == "reference":
             factory = lambda: ReferenceCounterfeiter(budget=budget)
@@ -289,14 +291,18 @@ def run_command(args) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     output = args.output or config.get("output")
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-    if args.csv and rows:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+    try:
+        if output:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        if args.csv and rows:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+    except OSError as exc:
+        print(f"output error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     summary = {k: v for k, v in results.items() if not isinstance(v, (list, dict))}
     print(f"{config['experiment']}: " + json.dumps(summary, sort_keys=True))
     return 0

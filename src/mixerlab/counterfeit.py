@@ -101,8 +101,8 @@ class LabelScanningCounterfeiter:
 
 def run_counterfeiter(alg, instance: LayeredInstance, s: int, rng):
     """Run a counterfeiter against a (hidden) instance's metered sessions."""
-    mixer = instance.mixer2n.session(rng=rng, coherent=True)
-    label = instance.label2n.session(coherent=True)
+    mixer = instance.mixer2n.session(rng=rng)
+    label = instance.label2n.session()
     state = alg(mixer, label, instance.start_element(s), rng)
     return state, mixer, label
 
@@ -112,7 +112,6 @@ class SolveResult:
     density: DensityMatrix    # reduced state over the last n qubits
     state: QuantumState       # dominant eigenvector of the reduced state
     purity: float
-    g_queries: int = 0
 
 
 def solve_component_superposition_via_counterfeiter(

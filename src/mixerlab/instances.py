@@ -252,6 +252,14 @@ class PointFunction:
         """Unmetered evaluation for privileged construction code."""
         return 1 if self.y is not None and r == self.y else 0
 
+    def charge(self, evaluations: int = 1):
+        """Charge two g queries for each of ``evaluations`` metered
+        evaluations of a map gated by g. Two is the price of one coherent
+        evaluation: the gated shift reads g at x and at x + i, and a layered
+        row test computes g(r) into an ancilla and uncomputes it. A classical
+        layered evaluation needs only one, but sessions charge all alike."""
+        self.queries += 2 * evaluations
+
 
 # make_grover_mixer enumerates all 2^n members and indices
 GROVER_MAX_N = 16
@@ -281,9 +289,6 @@ def make_grover_mixer(n: int, g: PointFunction) -> MixerOracle:
             return (x - enc) % dim
         return x
 
-    def charge(enc: int, x: int, coherent: bool):
-        g.queries += 2
-
     return MixerOracle(
         n=n,
         index_width=n,
@@ -292,7 +297,7 @@ def make_grover_mixer(n: int, g: PointFunction) -> MixerOracle:
         apply_fn=apply_fn,
         inverse_fn=inverse_fn,
         name=f"grover-n{n}",
-        on_metered_apply=charge,
+        point=g,
     )
 
 

@@ -19,8 +19,9 @@ other element its own value. It is therefore valid exactly when nothing is
 collapsed: there is no rest row, or the base is one component without
 garbage.
 
-The grover variant meters its point function: one g-query per classical
-evaluation of the mixer or label, two per coherent evaluation.
+The grover variant gates its mixer and label by the point function g; the
+sessions charge g two queries per metered evaluation
+(:meth:`~mixerlab.instances.PointFunction.charge`).
 
 The base mixer is only defined on S, but the row embeddings act on whole
 rows; garbage columns are moved by a cyclic shift within the (sorted)
@@ -129,14 +130,7 @@ def make_layered_instance(
     def label_fn(x: int) -> int:
         return embedded_label if embedded(*pair_decode(x, n)) else x
 
-    def charge_g(coherent: bool) -> None:
-        g.queries += 2 if coherent else 1
-
-    mixer_hook = label_hook = None
-    if variant == "grover":
-        mixer_hook = lambda enc, x, coherent: charge_g(coherent)
-        label_hook = lambda x, coherent: charge_g(coherent)
-
+    point = g if variant == "grover" else None
     mixer2n = MixerOracle(
         n=2 * n,
         index_width=base_oracle.index_width,
@@ -145,7 +139,7 @@ def make_layered_instance(
         apply_fn=lambda enc, x: mixer_fn(enc, x, +1),
         inverse_fn=lambda enc, x: mixer_fn(enc, x, -1),
         name=f"layered-{variant}({base_oracle.name})",
-        on_metered_apply=mixer_hook,
+        point=point,
     )
     whole_base = base_truth.num_components == 1 and not base_truth.garbage
     label2n = LabelOracle(
@@ -153,7 +147,7 @@ def make_layered_instance(
         label_width=2 * n,
         fn=label_fn,
         valid=rest_row is None or whole_base,
-        on_metered_query=label_hook,
+        point=point,
         name=f"label-{variant}",
     )
 
@@ -205,14 +199,14 @@ def apply_hiding(
         apply_fn=lambda enc, x: int(pi[inner_m._apply_fn(enc, int(pi_inv[x]))]),
         inverse_fn=lambda enc, x: int(pi[inner_m._inverse_fn(enc, int(pi_inv[x]))]),
         name=f"hidden-{inner_m.name}",
-        on_metered_apply=inner_m._on_metered_apply,
+        point=inner_m.point,
     )
     label2n = LabelOracle(
         width=inner_l.width,
         label_width=inner_l.label_width,
         fn=lambda x: int(sigma[inner_l._fn(int(pi_inv[x]))]),
         valid=inner_l._valid,
-        on_metered_query=inner_l._on_metered_query,
+        point=inner_l.point,
         name=f"hidden-{inner_l.name}",
     )
 

@@ -2,9 +2,12 @@
 
 A :class:`MixerOracle` bundles the six classical query operations (membership
 tests, samplers, forward/inverse application). Algorithms under test go
-through a :class:`QuerySession`, which meters every query and can enforce a
-budget. Privileged code (constructors, verifiers) may use the underscore-free
-``*_int`` accessors, which do not count queries.
+through a :class:`QuerySession` or :class:`LabelSession`, the one place a
+query is charged: the session counts it by kind, enforces its budget, and,
+for an oracle gated by a point function, charges that function's queries
+(:meth:`PointFunction.charge`) for every metered evaluation. Privileged code
+(constructors, verifiers) may use the ``*_int`` accessors and the tables,
+which charge nothing.
 
 The quantum engine reads a mixer as stacked index-by-element tables
 (:meth:`MixerOracle.permutation_tables`), built on its first quantum use and
@@ -12,11 +15,22 @@ cached on the oracle.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bits import as_int, from_bits, to_bits
 from .errors import BudgetExhaustedError, InvalidArgumentError
+
+if TYPE_CHECKING:
+    from .instances import PointFunction
+
+# the kinds a QuerySession counts: the six classical operations, then the
+# quantum engine's state preparation, projections and controlled mixer
+QUERY_KINDS = (
+    "membership_S", "sample_S", "membership_Ind", "sample_Ind", "apply", "apply_inverse",
+    "prepare_S", "project_S", "CM", "project_Ind",
+)
 
 
 @dataclass(frozen=True)
@@ -36,7 +50,8 @@ class MixerOracle:
     its order defines the basis of the quantum index register. The first
     entry is the identity map for every construction in this package.
     Members lie in [0, 2^n) and index encodings in [0, 2^index_width), so
-    each is its own bit-string decoding.
+    each is its own bit-string decoding. ``point`` is the point function
+    that gates the maps, if any; sessions charge it per metered evaluation.
     """
 
     def __init__(
@@ -48,7 +63,7 @@ class MixerOracle:
         apply_fn,
         inverse_fn,
         name: str = "",
-        on_metered_apply=None,
+        point: "PointFunction | None" = None,
     ):
         self.n = n
         self.index_width = index_width
@@ -59,11 +74,8 @@ class MixerOracle:
         self._index_set = frozenset(self.index_ints)
         self._apply_fn = apply_fn
         self._inverse_fn = inverse_fn
-        # Side-channel accounting (e.g. point-function queries) charged only
-        # when an application goes through a metered session.
-        self._on_metered_apply = on_metered_apply
-        # alpha -> (fwd, inv) stacked tables, see permutation_tables
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.point = point
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- privileged accessors (not metered) --------------------------------
 
@@ -83,9 +95,8 @@ class MixerOracle:
             raise InvalidArgumentError(f"{x} is not a member of S")
         return fn(enc, x)
 
-    def permutation_table(self, enc: int, alpha: int = 1) -> np.ndarray:
-        """Basis map of M_i^alpha (alpha = 1 or -1) on all 2^n strings;
-        identity off S.
+    def permutation_table(self, enc: int) -> np.ndarray:
+        """Basis map of M_i on all 2^n strings; identity off S.
 
         Built afresh on every call; :meth:`permutation_tables` stacks these
         rows once per oracle. Raises if the resulting table is not a
@@ -93,7 +104,7 @@ class MixerOracle:
         marked point is not).
         """
         dim = 1 << self.n
-        fn = {1: self._apply_fn, -1: self._inverse_fn}[alpha]
+        fn = self._apply_fn
         table = np.array([fn(enc, s) if s in self._member_set else s for s in range(dim)])
         if len(set(table.tolist())) != dim:
             raise InvalidArgumentError(
@@ -101,37 +112,38 @@ class MixerOracle:
             )
         return table
 
-    def permutation_tables(self, alpha: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked basis maps of M_i^alpha for every index, and their inverses.
+    def permutation_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked basis maps of every M_i and of its inverse.
 
         Returns ``(fwd, inv)``, both of shape (|Ind|, 2^n) with rows in
-        ``index_ints`` order: ``fwd[j, x]`` is M_j^alpha(x) and ``inv[j]`` is
-        the row-wise ``argsort`` of ``fwd[j]``. The pair is built from
-        :meth:`permutation_table` on first use and cached on the oracle, so
-        oracles that never enter the quantum engine build no tables.
+        ``index_ints`` order: ``fwd[j, x]`` is M_j(x) and ``inv[j]``, the
+        row-wise ``argsort`` of ``fwd[j]``, is the basis map of M_j^-1. The
+        pair is built from :meth:`permutation_table` on first use and cached
+        on the oracle, so oracles that never enter the quantum engine build
+        no tables.
         """
-        tables = self._tables.get(alpha)
-        if tables is None:
-            fwd = np.stack([self.permutation_table(enc, alpha) for enc in self.index_ints])
+        if self._tables is None:
+            fwd = np.stack([self.permutation_table(enc) for enc in self.index_ints])
             tables = (fwd, np.argsort(fwd, axis=1))
             for table in tables:  # shared by every caller
                 table.flags.writeable = False
-            self._tables[alpha] = tables
-        return tables
+            self._tables = tables
+        return self._tables
 
     # -- session factory ----------------------------------------------------
 
-    def session(self, rng=None, budget=None, coherent=False) -> "QuerySession":
-        return QuerySession(self, rng=rng, budget=budget, coherent=coherent)
+    def session(self, rng=None, budget=None) -> "QuerySession":
+        return QuerySession(self, rng=rng, budget=budget)
 
 
 class QuerySession:
     """Metered handle to a mixer oracle.
 
     One session per trial; a session must not be shared between concurrent
-    activities. ``coherent=True`` routes applications through the oracle's
-    coherent-evaluation path (relevant only where that path carries extra
-    side-channel accounting, e.g. point-function queries).
+    activities. ``queries`` counts every query charged to the session by
+    kind (:data:`QUERY_KINDS`); the budget bounds their sum. An application
+    that passes its checks, and every controlled-mixer step the quantum
+    engine charges here, also charges the oracle's point function.
 
     ``apply``/``apply_inverse`` take a plain ``int`` that is already a valid
     index (or member) as is, skipping the bit-string conversion: every index
@@ -143,31 +155,16 @@ class QuerySession:
     bad argument.
     """
 
-    def __init__(self, oracle: MixerOracle, rng=None, budget=None, coherent=False):
+    def __init__(self, oracle: MixerOracle, rng=None, budget=None):
         self.oracle = oracle
         self.rng = rng if rng is not None else np.random.default_rng()
         self.budget = budget
-        self.coherent = coherent
-        self.classical_queries = 0
-        self.quantum_queries = 0
-        self.apply_calls = 0
-        self.quantum_breakdown: dict[str, int] = {}
+        self.queries = dict.fromkeys(QUERY_KINDS, 0)
 
-    def _charge(self):
-        self.classical_queries += 1
-        self._check_budget()
-
-    def charge_quantum(self, kind: str, count: int = 1):
-        self.quantum_queries += count
-        self.quantum_breakdown[kind] = self.quantum_breakdown.get(kind, 0) + count
-        self._check_budget()
-
-    def _check_budget(self):
-        if self.budget is not None:
-            if self.classical_queries + self.quantum_queries > self.budget:
-                raise BudgetExhaustedError(
-                    f"query budget {self.budget} exhausted"
-                )
+    def charge(self, kind: str, count: int = 1):
+        self.queries[kind] += count
+        if self.budget is not None and sum(self.queries.values()) > self.budget:
+            raise BudgetExhaustedError(f"query budget {self.budget} exhausted")
 
     def _index_int(self, i) -> int:
         if isinstance(i, MixerIndex):
@@ -177,32 +174,31 @@ class QuerySession:
     # -- the six query operations -------------------------------------------
 
     def test_membership_s(self, x) -> bool:
-        self._charge()
+        self.charge("membership_S")
         return as_int(x, self.oracle.n) in self.oracle._member_set
 
     def sample_s(self):
-        self._charge()
+        self.charge("sample_S")
         x = self.oracle.members[self.rng.integers(len(self.oracle.members))]
         return int(x)
 
     def test_membership_ind(self, i) -> bool:
-        self._charge()
+        self.charge("membership_Ind")
         return self._index_int(i) in self.oracle._index_set
 
     def sample_ind(self) -> MixerIndex:
-        self._charge()
+        self.charge("sample_Ind")
         enc = self.oracle.index_ints[self.rng.integers(len(self.oracle.index_ints))]
         return MixerIndex(to_bits(enc, self.oracle.index_width))
 
     def apply(self, i, x):
-        return self._metered_apply(self.oracle._apply_fn, i, x)
+        return self._metered_apply("apply", self.oracle._apply_fn, i, x)
 
     def apply_inverse(self, i, x):
-        return self._metered_apply(self.oracle._inverse_fn, i, x)
+        return self._metered_apply("apply_inverse", self.oracle._inverse_fn, i, x)
 
-    def _metered_apply(self, fn, i, x):
-        self._charge()
-        self.apply_calls += 1
+    def _metered_apply(self, kind, fn, i, x):
+        self.charge(kind)
         oracle = self.oracle
         # an int already in the set is what the conversion would return
         enc = i if type(i) is int and i in oracle._index_set else self._index_int(i)
@@ -211,8 +207,8 @@ class QuerySession:
             raise InvalidArgumentError(f"invalid index encoding {enc}")
         if xi not in oracle._member_set:
             raise InvalidArgumentError(f"{x!r} is not a member of S")
-        if oracle._on_metered_apply is not None:
-            oracle._on_metered_apply(enc, xi, self.coherent)
+        if oracle.point is not None:
+            oracle.point.charge()
         out = fn(enc, xi)
         return to_bits(out, oracle.n) if isinstance(x, str) else out
 
@@ -222,15 +218,19 @@ class LabelOracle:
 
     ``valid`` records whether the label is consistent with the mixer it was
     built for; it is constructor metadata, hidden from algorithms under test.
+    ``point`` is the point function that gates the label, if any;
+    :class:`LabelSession` charges it per query.
     """
 
-    def __init__(self, width: int, label_width: int, fn, valid=None,
-                 on_metered_query=None, name: str = ""):
+    def __init__(
+        self, width: int, label_width: int, fn, valid=None,
+        point: "PointFunction | None" = None, name: str = "",
+    ):
         self.width = width
         self.label_width = label_width
         self._fn = fn
         self._valid = valid
-        self._on_metered_query = on_metered_query
+        self.point = point
         self.name = name
 
     @property
@@ -241,28 +241,29 @@ class LabelOracle:
         """Privileged evaluation, not metered."""
         return self._fn(x)
 
-    def query(self, x, coherent=False):
-        xi = as_int(x, self.width)
-        if self._on_metered_query is not None:
-            self._on_metered_query(xi, coherent)
-        out = self._fn(xi)
+    def query(self, x):
+        """Evaluation on a bit string or int, answered in the same type; the
+        metering is :meth:`LabelSession.query`'s."""
+        out = self._fn(as_int(x, self.width))
         return to_bits(out, self.label_width) if isinstance(x, str) else out
 
-    def session(self, budget=None, coherent=False) -> "LabelSession":
-        return LabelSession(self, budget=budget, coherent=coherent)
+    def session(self, budget=None) -> "LabelSession":
+        return LabelSession(self, budget=budget)
 
 
 class LabelSession:
     """Metered, optionally budgeted handle to a label oracle."""
 
-    def __init__(self, label: LabelOracle, budget=None, coherent=False):
+    def __init__(self, label: LabelOracle, budget=None):
         self.label = label
         self.budget = budget
-        self.coherent = coherent
         self.queries = 0
 
     def query(self, x):
         self.queries += 1
         if self.budget is not None and self.queries > self.budget:
             raise BudgetExhaustedError(f"label budget {self.budget} exhausted")
-        return self.label.query(x, coherent=self.coherent)
+        out = self.label.query(x)  # g is charged once the input is well formed
+        if self.label.point is not None:
+            self.label.point.charge()
+        return out

@@ -48,9 +48,6 @@ class EstimatedProbability:
         p = self.estimate
         return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
 
-    def to_json_dict(self) -> dict:
-        return {"estimate": self.estimate, "trials": self.trials, "ci95": self.ci95}
-
 
 def _require_mbcp_promise(truth: GroundTruthPartition):
     if not truth.mbcp_promise_holds():
@@ -92,7 +89,7 @@ def am_mbcp_trial(
             guess = int(rng.integers(1, 3))
     else:
         raise InvalidArgumentError(f"unknown merlin strategy {merlin!r}")
-    return guess == i, session.classical_queries
+    return guess == i, sum(session.queries.values())
 
 
 def run_am_mbcp(
@@ -204,7 +201,7 @@ def run_projector_demo(
         state = QuantumState.basis((1 << oracle.n,), si)
         session = oracle.session(rng=rng)
         result = measure_component_projector(state, oracle, rng, session=session)
-        return result.outcome, session.quantum_breakdown.get("CM", 0)
+        return result.outcome, session.queries["CM"]
 
     return EstimatedProbability.from_outcomes(
         run_seeded_trials(one, trials, seed), accepted=lambda r: r[0]

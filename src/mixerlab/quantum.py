@@ -4,11 +4,12 @@ States are complex amplitude vectors shaped by a tuple of register
 dimensions. All operators are applied exactly; measurement outcomes are
 sampled from Born probabilities with a caller-supplied generator.
 
-Quantum query accounting: preparing or projecting onto the uniform-S state
-charges one query; a controlled-mixer application charges one query; the
-component-projector measurement charges exactly two controlled-mixer
-queries (compute and uncompute) plus two index-register queries (prepare
-and reflect).
+Quantum query accounting, charged to the session passed in, if any:
+preparing or projecting onto the uniform-S state charges one query; a
+controlled-mixer application charges one query; the component-projector
+measurement charges exactly two controlled-mixer queries (compute and
+uncompute) plus two index-register queries (prepare and reflect). Each
+controlled-mixer step also charges the oracle's point function, if any.
 
 Mixer applications read the oracle's stacked index-by-element tables
 (:meth:`MixerOracle.permutation_tables`): each controlled-mixer step is one
@@ -90,13 +91,6 @@ class QuantumState:
         m = np.transpose(self.amp, perm).reshape(dk, dd)
         return DensityMatrix(m @ m.conj().T)
 
-    def to_json_dict(self) -> dict:
-        flat = self.amp.reshape(-1)
-        return {
-            "dims": list(self.dims),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in flat],
-        }
-
 
 class DensityMatrix:
     """Hermitian, PSD, trace-one matrix with tolerance checks."""
@@ -125,24 +119,12 @@ class DensityMatrix:
             acc += np.outer(v, v.conj())
         return cls(acc / len(vecs))
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def dominant_eigenvector(self) -> tuple[float, np.ndarray]:
         w, v = np.linalg.eigh(self.matrix)
         return float(w[-1]), v[:, -1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "matrix": [
-                [[float(e.real), float(e.imag)] for e in row] for row in self.matrix
-            ],
-        }
 
 
 def _as_matrix(obj) -> np.ndarray:
@@ -180,7 +162,7 @@ def _uniform_s_vector(oracle: MixerOracle) -> np.ndarray:
 
 def prepare_uniform_s(oracle: MixerOracle, session: QuerySession | None = None):
     if session is not None:
-        session.charge_quantum("prepare_S")
+        session.charge("prepare_S")
     return QuantumState((1 << oracle.n,), _uniform_s_vector(oracle))
 
 
@@ -206,7 +188,7 @@ def project_uniform_s(
     if state.dims[axis] != 1 << oracle.n:
         raise InvalidArgumentError("axis dimension must be 2^n")
     if session is not None:
-        session.charge_quantum("project_S")
+        session.charge("project_S")
     return _project_onto_vector(state, _uniform_s_vector(oracle), axis, rng)
 
 
@@ -231,18 +213,18 @@ def apply_cm(
     if state.dims[element_axis] != 1 << oracle.n:
         raise InvalidArgumentError("element register must have dimension 2^n")
     if session is not None:
-        session.charge_quantum("CM")
-        if oracle._on_metered_apply is not None:
-            oracle._on_metered_apply(oracle.index_ints[0], 0, True)
+        session.charge("CM")
+        if oracle.point is not None:
+            oracle.point.charge()
 
     work = np.moveaxis(state.amp, (alpha_axis, index_axis, element_axis), (-3, -2, -1))
     out = work.copy()
     rows = np.arange(len(oracle.index_ints))[:, None]
-    for ai, alpha in enumerate(ALPHA_VALUES):
-        if alpha == 0:
-            continue
-        _, inv = oracle.permutation_tables(alpha)
-        out[..., ai, :, :] = work[..., ai, rows, inv]
+    fwd, inv = oracle.permutation_tables()
+    # out[y] = work[M_i^-alpha(y)]: alpha = +1 gathers through inv, -1 through fwd
+    for alpha, source in ((1, inv), (-1, fwd)):
+        ai = ALPHA_VALUES.index(alpha)
+        out[..., ai, :, :] = work[..., ai, rows, source]
     out = np.moveaxis(out, (-3, -2, -1), (alpha_axis, index_axis, element_axis))
     return QuantumState(state.dims, out)
 
@@ -288,18 +270,17 @@ def measure_component_projector(
             f"{STATE_DIM_CAP}"
         )
     if session is not None:
-        session.charge_quantum("CM", 2)
-        session.charge_quantum("project_Ind", 2)
-        if oracle._on_metered_apply is not None:
-            oracle._on_metered_apply(oracle.index_ints[0], 0, True)
-            oracle._on_metered_apply(oracle.index_ints[0], 0, True)
+        session.charge("CM", 2)
+        session.charge("project_Ind", 2)
+        if oracle.point is not None:
+            oracle.point.charge(2)
 
     amp = np.moveaxis(state.amp, axis, -1)
     rest_shape = amp.shape[:-1]
     amp = amp.reshape(-1, da)
     r = amp.shape[0]
 
-    fwd, inv = oracle.permutation_tables(1)
+    fwd, inv = oracle.permutation_tables()
 
     # steps 1-2: adjoin B = |e0> and C = |0>, then apply
     # U = sum_j Mtilde_j (x) |j><j|, so that work[:, y, j, 0] = amp[:, inv[j, y]]
@@ -342,7 +323,7 @@ def measure_component_projector(
 def component_projector_matrix(oracle: MixerOracle) -> np.ndarray:
     """|Ind|^-1 sum_j Mtilde_j as a dense matrix on all 2^n basis states."""
     dim = 1 << oracle.n
-    fwd, _ = oracle.permutation_tables(1)
+    fwd, _ = oracle.permutation_tables()
     acc = np.zeros((dim, dim))
     np.add.at(acc, (fwd, np.arange(dim)), 1.0)
     return acc / len(oracle.index_ints)

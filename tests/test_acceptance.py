@@ -130,7 +130,7 @@ def test_criterion_03_projector_algorithm(capsys):
         )
         ok = ok and abs(result.probability_one - 1 / comp_size) < 1e-9
         ok = ok and result.ancilla_fidelity >= 1 - 1e-9
-        ok = ok and session.quantum_breakdown.get("CM") == 2
+        ok = ok and session.queries["CM"] == 2
     finish(
         capsys,
         "criterion-03 projector algorithm",
@@ -250,14 +250,15 @@ def test_criterion_08_counterfeiting_reduction(capsys):
         seed=84,
     )
 
-    # (e) coherent evaluations charge exactly two point-function queries
+    # (e) metered evaluations charge exactly two point-function queries
     g = PointFunction(2, 2)
     gated = make_layered_instance(oracle2, truth2, "grover", g=g)
     before = g.queries
     _, mixer, label = run_counterfeiter(
         ReferenceCounterfeiter(), gated, 0, np.random.default_rng(85)
     )
-    ok = ok and g.queries - before == 2 * (mixer.apply_calls + label.queries)
+    applies = mixer.queries["apply"] + mixer.queries["apply_inverse"]
+    ok = ok and g.queries - before == 2 * (applies + label.queries)
 
     finish(
         capsys,

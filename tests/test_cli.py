@@ -154,6 +154,38 @@ def test_budget_exhaustion_exit_code(tmp_path):
     assert "budget" in proc.stderr
 
 
+def test_zero_budget_is_exhausted_at_once(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "experiment": "counterfeit",
+            "seed": 1,
+            "trials": 2,
+            "instance": {"family": "offset", "partition": BALANCED},
+            "budgets": {"counterfeiter": 0},
+        },
+    )
+    proc = run_cli("run", cfg)
+    assert proc.returncode == 3
+    assert proc.stderr == "budget exhausted: counterfeiter has no query budget\n"
+
+
+@pytest.mark.parametrize("flag", ["--output", "--csv"])
+def test_output_path_in_a_missing_directory_exits_1_naming_it(tmp_path, flag):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {"experiment": "coam", "seed": 1, "trials": 5,
+         "instance": {"family": "offset", "partition": BALANCED}},
+    )
+    path = str(tmp_path / "missing" / "out")
+    proc = run_cli("run", cfg, flag, path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"output error: cannot write {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_invalid_json_is_a_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -283,6 +315,12 @@ COSET4 = {"family": "coset", "modulus": 4, "generators": [2]}
         ({"experiment": "counterfeit", "instance": COSET4,
           "params": {"alg": "scan", "scan_count": -5}},
          "params.scan_count must be at least 0, got -5"),
+        ({"experiment": "counterfeit", "instance": COSET4, "budgets": {"counterfeiter": -1}},
+         "budgets.counterfeiter must be at least 0, got -1"),
+        ({"experiment": "verify-mixer", "instance": COSET4, "output": [1]},
+         "output must be a path string, got [1]"),
+        ({"experiment": "verify-mixer", "instance": COSET4, "output": 1},
+         "output must be a path string, got 1"),
     ],
 )
 def test_missing_or_malformed_field_is_a_config_error_naming_it(tmp_path, config, message):

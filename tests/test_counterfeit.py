@@ -36,7 +36,7 @@ def test_reference_counterfeiter_outputs_row_superposition(base):
     # row 0 carries the whole base problem; the output spans {(0, z): z in S_1}
     target = QuantumState.uniform(16, [0, 1])
     assert state_fidelity(state, target) == pytest.approx(1.0)
-    assert mixer.classical_queries > 0 and label.queries > 0
+    assert sum(mixer.queries.values()) > 0 and label.queries > 0
 
 
 def test_reference_counterfeiter_on_hidden_instance(base):
@@ -107,9 +107,9 @@ def test_gated_mixer_coherent_query_accounting(base):
     rng = np.random.default_rng(8)
     before = g.queries
     state, mixer, label = run_counterfeiter(ReferenceCounterfeiter(), inst, 0, rng)
-    # coherent sessions charge exactly two g queries per metered evaluation;
-    # membership tests never touch g, only apply/apply_inverse and the label do
-    applies = mixer.apply_calls
+    # sessions charge exactly two g queries per metered evaluation; membership
+    # tests never touch g, only apply/apply_inverse and the label do
+    applies = mixer.queries["apply"] + mixer.queries["apply_inverse"]
     assert g.queries - before == 2 * (applies + label.queries)
 
 

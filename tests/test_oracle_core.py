@@ -21,6 +21,13 @@ from mixerlab import (
 from mixerlab.bits import as_int, to_bits
 from mixerlab.errors import InvalidArgumentError
 from mixerlab.layered import hide_instance, make_layered_instance
+from mixerlab.oracle import QUERY_KINDS
+from mixerlab.quantum import (
+    QuantumState,
+    apply_cm,
+    component_projector_matrix,
+    measure_component_projector,
+)
 
 
 @pytest.fixture
@@ -35,7 +42,8 @@ def test_membership_queries(setup):
     assert session.test_membership_s("000")
     assert not session.test_membership_s("111")
     assert session.test_membership_s(4)
-    assert session.classical_queries == 3
+    assert session.queries["membership_S"] == 3
+    assert sum(session.queries.values()) == 3
 
 
 def test_query_strings_must_match_width(setup):
@@ -69,7 +77,7 @@ def test_every_operation_costs_one_query(setup):
     session.sample_ind()
     session.apply(oracle.index_ints[0], 0)
     session.apply_inverse(oracle.index_ints[0], 0)
-    assert session.classical_queries == 6
+    assert session.queries == {kind: int(kind in QUERY_KINDS[:6]) for kind in QUERY_KINDS}
 
 
 def test_budget_enforced(setup):
@@ -123,19 +131,19 @@ def test_tv_distance():
     assert tv_distance({0: 0.75, 1: 0.25}, {0: 0.25, 1: 0.75}) == pytest.approx(0.5)
 
 
-def _reference_metered_apply(session, fn, i, x):
+def _reference_metered_apply(session, kind, i, x):
     """QuerySession's metered apply without the int fast path: every argument
     goes through the bit-string conversion."""
-    session._charge()
-    session.apply_calls += 1
+    session.charge(kind)
     enc = session._index_int(i)
     xi = as_int(x, session.oracle.n)
     if enc not in session.oracle._index_set:
         raise InvalidArgumentError(f"invalid index encoding {enc}")
     if xi not in session.oracle._member_set:
         raise InvalidArgumentError(f"{x!r} is not a member of S")
-    if session.oracle._on_metered_apply is not None:
-        session.oracle._on_metered_apply(enc, xi, session.coherent)
+    if session.oracle.point is not None:
+        session.oracle.point.charge()
+    fn = session.oracle._apply_fn if kind == "apply" else session.oracle._inverse_fn
     out = fn(enc, xi)
     return to_bits(out, session.oracle.n) if isinstance(x, str) else out
 
@@ -158,14 +166,14 @@ def _outcome(call):
 @pytest.mark.parametrize("inverse", [False, True])
 def test_metered_apply_fast_path_matches_reference(setup, inverse):
     oracle, _ = setup
-    fn = oracle._inverse_fn if inverse else oracle._apply_fn
+    kind = "apply_inverse" if inverse else "apply"
     for i in FAST_PATH_INDICES:
         for x in FAST_PATH_ELEMENTS:
             fast, ref = oracle.session(), oracle.session()
             apply = fast.apply_inverse if inverse else fast.apply
             got = _outcome(lambda: apply(i, x))
-            assert got == _outcome(lambda: _reference_metered_apply(ref, fn, i, x)), (i, x)
-            assert (fast.classical_queries, fast.apply_calls) == (ref.classical_queries, 1)
+            assert got == _outcome(lambda: _reference_metered_apply(ref, kind, i, x)), (i, x)
+            assert fast.queries == ref.queries and sum(fast.queries.values()) == 1
     # int in, int out; str in, str out
     assert _outcome(lambda: oracle.session().apply(2, 3))[1] is int
     assert _outcome(lambda: oracle.session().apply(2, "011"))[1] is str
@@ -176,7 +184,7 @@ def test_metered_apply_fast_path_charges_point_queries_like_reference():
     fast, ref = make_grover_mixer(3, g_fast).session(), make_grover_mixer(3, g_ref).session()
     for i in range(8):
         for x in range(8):
-            assert fast.apply(i, x) == _reference_metered_apply(ref, ref.oracle._apply_fn, i, x)
+            assert fast.apply(i, x) == _reference_metered_apply(ref, "apply", i, x)
     assert g_fast.queries == g_ref.queries == 128
 
 
@@ -201,3 +209,71 @@ def test_every_family_keeps_indices_and_members_inside_their_width():
                    layered.mixer2n, hidden.mixer2n):
         assert all(0 <= x < 1 << oracle.n for x in oracle.members)
         assert all(0 <= e < 1 << oracle.index_width for e in oracle.index_ints)
+
+
+# ---------------------------------------------------------------------------
+# Point-function accounting: one price per metered evaluation
+# ---------------------------------------------------------------------------
+
+def _grover_mixer():
+    g = PointFunction(3)  # all zeros, so the tables are a bijection
+    return make_grover_mixer(3, g), None, g
+
+
+def _hidden_layered_grover():
+    truth = GroundTruthPartition.from_components(2, [[0, 1], [2, 3]])
+    g = PointFunction(2, 1)
+    inst = make_layered_instance(make_offset_mixer(truth), truth, "grover", g=g)
+    inst = hide_instance(inst, np.random.default_rng(3))
+    return inst.mixer2n, inst.label2n, g
+
+
+def _cm_state(mixer, alpha_position):
+    dims = (3, len(mixer.index_ints), 1 << mixer.n)
+    return QuantumState.basis(dims, (alpha_position, 1, 0))
+
+
+# operation -> (call on (mixer, label, session), evaluations it makes)
+METERED = {
+    "apply": (lambda m, lab, s: s.apply(m.index_ints[1], 1), 1),
+    "apply_inverse": (lambda m, lab, s: s.apply_inverse(m.index_ints[1], 1), 1),
+    "label query": (lambda m, lab, s: lab.session().query(1), 1),
+    "apply_cm": (lambda m, lab, s: apply_cm(_cm_state(m, 2), m, 0, 1, 2, session=s), 1),
+    "apply_cm inverse": (lambda m, lab, s: apply_cm(_cm_state(m, 0), m, 0, 1, 2, session=s), 1),
+    "projector": (
+        lambda m, lab, s: measure_component_projector(
+            QuantumState.basis((1 << m.n,), 0), m, np.random.default_rng(0), session=s
+        ),
+        2,
+    ),
+}
+# operations that evaluate no gated map through a session: privileged paths,
+# membership tests and samplers
+G_FREE = {
+    "apply_int": lambda m, lab: m.apply_int(m.index_ints[1], 1),
+    "inverse_int": lambda m, lab: m.inverse_int(m.index_ints[1], 1),
+    "tables": lambda m, lab: (m.permutation_tables(), component_projector_matrix(m)),
+    "label_int": lambda m, lab: lab.label_int(1),
+    "membership and sampling": lambda m, lab: (
+        m.session().test_membership_s(1), m.session().test_membership_ind(m.index_ints[1]),
+        m.session().sample_s(), m.session().sample_ind(),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, operation", [
+    (make, operation)
+    for make in (_grover_mixer, _hidden_layered_grover)
+    for operation in [*METERED, *G_FREE]
+    if make is _hidden_layered_grover or "label" not in operation  # no label to query
+])
+def test_point_function_charges_two_per_metered_evaluation_only(make, operation):
+    mixer, label, g = make()
+    before = g.queries
+    if operation in METERED:
+        call, evaluations = METERED[operation]
+        call(mixer, label, mixer.session())
+    else:
+        evaluations = 0
+        G_FREE[operation](mixer, label)
+    assert g.queries - before == 2 * evaluations

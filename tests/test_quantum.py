@@ -30,6 +30,11 @@ from mixerlab.quantum import (
 from test_verify import partitions, restricted
 
 
+def charged(session) -> dict:
+    """The kinds a session has charged, with their counts."""
+    return {kind: count for kind, count in session.queries.items() if count}
+
+
 @pytest.fixture
 def setup():
     truth = GroundTruthPartition.from_components(3, [[0, 1, 2], [3, 4]])
@@ -95,7 +100,7 @@ def test_uniform_preparation_charges_one_query(setup):
     oracle, _ = setup
     session = oracle.session()
     state = prepare_uniform_s(oracle, session)
-    assert session.quantum_breakdown == {"prepare_S": 1}
+    assert charged(session) == {"prepare_S": 1}
     assert state.amp[0] == pytest.approx(1 / np.sqrt(5))
 
 
@@ -105,7 +110,7 @@ def test_projection_onto_uniform(setup):
     session = oracle.session()
     comp1 = QuantumState.uniform(8, [0, 1, 2])
     outcome, post = project_uniform_s(comp1, oracle, rng, session=session)
-    assert session.quantum_breakdown == {"project_S": 1}
+    assert charged(session) == {"project_S": 1}
     # |<S|S_1>|^2 = 3/5, both outcomes possible; check against exact law
     assert outcome in (0, 1)
 
@@ -126,7 +131,7 @@ def test_controlled_mixer_is_a_basis_permutation(setup):
     assert abs(undone.overlap(QuantumState.basis((3, k, 8), (0, 1, 0)))) == pytest.approx(1.0)
     idle = QuantumState.basis((3, k, 8), (1, 1, 0))
     assert abs(apply_cm(idle, oracle, 0, 1, 2).overlap(idle)) == pytest.approx(1.0)
-    assert session.quantum_breakdown == {"CM": 2}
+    assert charged(session) == {"CM": 2}
 
 
 def test_projector_measurement_statistics(setup):
@@ -146,8 +151,8 @@ def test_projector_measurement_query_cost(setup):
     rng = np.random.default_rng(6)
     session = oracle.session()
     measure_component_projector(QuantumState.basis((8,), 0), oracle, rng, session=session)
-    assert session.quantum_breakdown["CM"] == 2
-    assert session.quantum_breakdown["project_Ind"] == 2
+    assert session.queries["CM"] == 2
+    assert session.queries["project_Ind"] == 2
 
 
 def test_projector_measurement_post_state(setup):
@@ -215,7 +220,7 @@ def reference_projector(state, oracle, rng, axis=0):
     r = amp.shape[0]
     work = np.zeros((r, da, k, 2), dtype=complex)
     work[:, :, :, 0] = amp[:, :, None] / np.sqrt(k)
-    fwd_tables = [oracle.permutation_table(enc, 1) for enc in oracle.index_ints]
+    fwd_tables = [oracle.permutation_table(enc) for enc in oracle.index_ints]
     inv_tables = [np.argsort(t) for t in fwd_tables]
     for ji in range(k):
         work[:, :, ji, :] = work[:, inv_tables[ji], ji, :]
@@ -235,16 +240,23 @@ def reference_projector(state, oracle, rng, axis=0):
 
 
 def reference_apply_cm(state, oracle, alpha_axis, index_axis, element_axis):
-    """apply_cm as one loop over (alpha, index) pairs."""
+    """apply_cm as one loop over (alpha, index) pairs. M_i^alpha sends
+    amplitude at x to M_i^alpha(x), so each row gathers from M_i^-alpha: the
+    forward step from the inverse closure (``inverse_int``), the inverse step
+    from the forward one, never from an ``argsort``."""
     axes = (alpha_axis, index_axis, element_axis)
     work = np.moveaxis(state.amp, axes, (-3, -2, -1))
     out = work.copy()
+    gather = {1: oracle.inverse_int, -1: oracle.apply_int}
     for ai, alpha in enumerate(ALPHA_VALUES):
         if alpha == 0:
             continue
         for ji, enc in enumerate(oracle.index_ints):
-            inv = np.argsort(oracle.permutation_table(enc, alpha))
-            out[..., ai, ji, :] = work[..., ai, ji, inv]
+            source = [
+                gather[alpha](enc, y) if oracle.is_member(y) else y
+                for y in range(1 << oracle.n)
+            ]
+            out[..., ai, ji, :] = work[..., ai, ji, source]
     return np.moveaxis(out, (-3, -2, -1), axes)
 
 
@@ -299,9 +311,9 @@ def test_tables_are_built_once_on_first_quantum_use(setup, monkeypatch):
     calls = []
     original = MixerOracle.permutation_table
 
-    def counted(self, enc, alpha=1):
-        calls.append((enc, alpha))
-        return original(self, enc, alpha)
+    def counted(self, enc):
+        calls.append(enc)
+        return original(self, enc)
 
     monkeypatch.setattr(MixerOracle, "permutation_table", counted)
     oracle = make_offset_mixer(setup[1])
@@ -310,11 +322,12 @@ def test_tables_are_built_once_on_first_quantum_use(setup, monkeypatch):
     rng = np.random.default_rng(11)
     for _ in range(3):
         measure_component_projector(QuantumState.basis((8,), 0), oracle, rng)
-    assert sorted(calls) == sorted((enc, 1) for enc in oracle.index_ints)
+    assert sorted(calls) == sorted(oracle.index_ints)
+    # both directions of the controlled mixer read the same pair
     apply_cm(QuantumState.basis((3, k, 8), (0, 1, 0)), oracle, 0, 1, 2)
     apply_cm(QuantumState.basis((3, k, 8), (2, 1, 0)), oracle, 0, 1, 2)
-    assert len(calls) == 2 * k
-    assert not any(t.flags.writeable for t in oracle.permutation_tables(1))
+    assert len(calls) == k
+    assert not any(t.flags.writeable for t in oracle.permutation_tables())
 
 
 def test_non_bijective_mixer_names_the_first_offending_index():
@@ -331,11 +344,11 @@ def test_non_bijective_mixer_names_the_first_offending_index():
 def test_projector_work_tensor_is_capped_before_tables_are_built(monkeypatch):
     oracle, _ = make_coset_mixer(1024, [1])
     assert len(oracle.index_ints) == 1024
-    monkeypatch.setattr(oracle, "permutation_tables", lambda alpha=1: pytest.fail("tables built"))
+    monkeypatch.setattr(oracle, "permutation_tables", lambda: pytest.fail("tables built"))
     session = oracle.session()
     state = QuantumState.basis((1024, 4), (0, 0))
     size = 1024 * 4 * 1024 * 2
     assert size > STATE_DIM_CAP
     with pytest.raises(InvalidArgumentError, match=f"work tensor of {size} amplitudes exceeds the cap"):
         measure_component_projector(state, oracle, np.random.default_rng(0), session=session)
-    assert session.quantum_queries == 0
+    assert charged(session) == {}
