@@ -3,15 +3,20 @@
 ``mixerlab run config.json`` builds the configured instance, hands it to the
 library runner of the named experiment, prints a summary, and writes a JSON
 report formatted from the runner's result. Reports are bit-reproducible for
-equal (config, version) up to the wall-time field.
+equal (config, version) up to the wall-time field. The report and CSV paths
+are checked before the experiment runs, and the two files are written both
+or neither.
 
 Exit codes: 0 success, 1 malformed config or command line, 2 promise
 violation, 3 query budget exhausted.
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import json
+import os
 import sys
 import time
 
@@ -41,12 +46,7 @@ from .protocols import (
 )
 from .quantum import QuantumState
 from .bits import as_int
-from .verify import (
-    instant_mixing_bound,
-    verify_full_connectivity,
-    verify_instant_mixing,
-    verify_no_cross_mixing,
-)
+from .verify import instant_mixing_bound, sweep_mixer
 
 SCHEMA_VERSION = 1
 
@@ -187,15 +187,16 @@ def _run_experiment(config: dict):
     oracle, truth = bundle.oracle, bundle.truth
 
     if name == "verify-mixer":
-        tv = verify_instant_mixing(oracle, truth)
+        sweep = sweep_mixer(oracle, truth)
+        tv = sweep.instant_mixing_tv()
         return {
             "num_components": truth.num_components,
             "component_sizes": list(truth.component_sizes()),
-            "no_cross_mixing": verify_no_cross_mixing(oracle, truth),
+            "no_cross_mixing": sweep.no_cross_mixing(),
             "instant_mixing_tv": tv,
             "instant_mixing_bound": instant_mixing_bound(truth.n),
             "meets_bound": tv <= instant_mixing_bound(truth.n),
-            "full_connectivity_ok": verify_full_connectivity(oracle, truth),
+            "full_connectivity_ok": sweep.full_connectivity(),
         }, rows
 
     if name == "am":
@@ -257,6 +258,32 @@ def _run_experiment(config: dict):
     raise ConfigError(f"unknown experiment {name!r}")
 
 
+def _check_writable(path: str):
+    """Raise OSError if ``path`` cannot be opened for writing; a file the
+    probe creates is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+def _write_all(files):
+    """Write each (path, text, newline); on a failure remove every file
+    already written and re-raise, so the outputs come out whole or not at all."""
+    written = []
+    try:
+        for path, text, newline in files:
+            with open(path, "w", newline=newline) as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def run_command(args) -> int:
     try:
         config = _load_config(args.config)
@@ -267,6 +294,14 @@ def run_command(args) -> int:
         config["trials"] = args.trials
     if args.seed is not None:
         config["seed"] = args.seed
+    output = args.output or config.get("output")
+    try:
+        for path in (output, args.csv):
+            if path:
+                _check_writable(path)
+    except OSError as exc:
+        print(f"output error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
     start = time.monotonic()
     try:
@@ -289,17 +324,17 @@ def run_command(args) -> int:
         "results": results,
         "wall_time_s": wall,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    output = args.output or config.get("output")
+    files = []
+    if output:
+        files.append((output, json.dumps(report, indent=2, sort_keys=True) + "\n", None))
+    if args.csv and rows:
+        table = io.StringIO()
+        writer = csv.DictWriter(table, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        files.append((args.csv, table.getvalue(), ""))
     try:
-        if output:
-            with open(output, "w") as fh:
-                fh.write(text + "\n")
-        if args.csv and rows:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
+        _write_all(files)
     except OSError as exc:
         print(f"output error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1

@@ -15,6 +15,7 @@ All constructions return oracles whose canonical index order starts with the
 identity map.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -86,15 +87,17 @@ def make_offset_mixer(truth: GroundTruthPartition) -> MixerOracle:
 # Graph-permutation mixers
 # ---------------------------------------------------------------------------
 
-def _edge_pairs(v: int) -> list[tuple[int, int]]:
-    return [(u, w) for u in range(v) for w in range(u + 1, v)]
+@functools.cache
+def _edge_tables(v: int) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]:
+    """The edge pairs (u, w), u < w, in bit order, and each pair's position."""
+    pairs = tuple((u, w) for u in range(v) for w in range(u + 1, v))
+    return pairs, {pq: k for k, pq in enumerate(pairs)}
 
 
 def graph_apply_permutation(perm: tuple[int, ...], x: int, v: int) -> int:
     """Relabel the vertices of the edge-indicator graph ``x`` by ``perm``."""
-    pairs = _edge_pairs(v)
+    pairs, idx = _edge_tables(v)
     n = len(pairs)
-    idx = {pq: k for k, pq in enumerate(pairs)}
     out = 0
     for k, (u, w) in enumerate(pairs):
         if (x >> (n - 1 - k)) & 1:

@@ -212,6 +212,7 @@ def apply_cm(
         raise InvalidArgumentError("index register must have dimension |Ind|")
     if state.dims[element_axis] != 1 << oracle.n:
         raise InvalidArgumentError("element register must have dimension 2^n")
+    fwd, inv = oracle.permutation_tables()  # raises before anything is charged
     if session is not None:
         session.charge("CM")
         if oracle.point is not None:
@@ -220,7 +221,6 @@ def apply_cm(
     work = np.moveaxis(state.amp, (alpha_axis, index_axis, element_axis), (-3, -2, -1))
     out = work.copy()
     rows = np.arange(len(oracle.index_ints))[:, None]
-    fwd, inv = oracle.permutation_tables()
     # out[y] = work[M_i^-alpha(y)]: alpha = +1 gathers through inv, -1 through fwd
     for alpha, source in ((1, inv), (-1, fwd)):
         ai = ALPHA_VALUES.index(alpha)
@@ -269,6 +269,7 @@ def measure_component_projector(
             f"projector work tensor of {work_size} amplitudes exceeds the cap "
             f"{STATE_DIM_CAP}"
         )
+    fwd, inv = oracle.permutation_tables()  # raises before anything is charged
     if session is not None:
         session.charge("CM", 2)
         session.charge("project_Ind", 2)
@@ -279,8 +280,6 @@ def measure_component_projector(
     rest_shape = amp.shape[:-1]
     amp = amp.reshape(-1, da)
     r = amp.shape[0]
-
-    fwd, inv = oracle.permutation_tables()
 
     # steps 1-2: adjoin B = |e0> and C = |0>, then apply
     # U = sum_j Mtilde_j (x) |j><j|, so that work[:, y, j, 0] = amp[:, inv[j, y]]

@@ -1,8 +1,16 @@
 """Verifiers that check a candidate mixer against its ground truth.
 
 These run with privileged access to the partition and enumerate every
-member and every index, so each verdict is exact.
+member and every index, so each verdict is exact. The three definitional
+checks (no cross-mixing, instant mixing, full connectivity) share one sweep,
+:func:`sweep_mixer`, that evaluates each image M_i(x) once, in blocks of
+members holding at most ``SWEEP_BLOCK_CAP`` images each, and derives every
+verdict from integer arrays; the three ``verify_*`` functions are views of it.
 """
+
+from dataclasses import dataclass
+
+import numpy as np
 
 from .bits import as_int, to_bits
 from .errors import InvalidArgumentError
@@ -21,48 +29,131 @@ def instant_mixing_bound(n: int) -> float:
     return 2.0 ** (-(n + 2))
 
 
+# the most (member, index) images one block of the sweep holds; a block also
+# holds one count per (member, element of S), so its rows are capped by the
+# larger of |Ind| and |S| + 1, and a single row is the floor
+SWEEP_BLOCK_CAP = 1 << 16
+
+
+@dataclass(frozen=True)
+class MixerSweep:
+    """What one pass over every (member, index) image found.
+
+    Each verdict raises where the per-pair loop over members in order, and
+    over ``index_ints`` within a member, would: on a member the oracle does
+    not hold unless an earlier member already settled the verdict, and, for
+    no cross-mixing, on an image outside S met before any image in another
+    component. The worst member's TV is kept as its exact integer fraction.
+    """
+
+    missing: int | None   # first member of S the oracle does not hold
+    escape: int | None    # first image outside its member's component
+    escape_in_s: bool
+    disconnected: bool    # a member before ``missing`` reaches other than its component
+    tv_numerator: int
+    tv_denominator: int
+
+    def _check_missing(self):
+        if self.missing is not None:
+            raise InvalidArgumentError(f"{self.missing} is not a member of S")
+
+    def no_cross_mixing(self) -> bool:
+        if self.escape is not None:
+            if not self.escape_in_s:
+                raise InvalidArgumentError(f"{self.escape} is not a member of S")
+            return False
+        self._check_missing()
+        return True
+
+    def instant_mixing_tv(self) -> float:
+        self._check_missing()
+        return self.tv_numerator / self.tv_denominator
+
+    def full_connectivity(self) -> bool:
+        if self.disconnected:
+            return False
+        self._check_missing()
+        return True
+
+
+def sweep_mixer(oracle: MixerOracle, truth: GroundTruthPartition) -> MixerSweep:
+    """Evaluate M_i(x) once for every member x of S and index i, and derive
+    all three verdicts from the images.
+
+    Members go in blocks of at most ``SWEEP_BLOCK_CAP`` images (one row per
+    member), located in S by a sorted search. Per row: the first image whose
+    component differs from the member's; integer image counts per member of
+    S, so the TV numerator stays exact; and the reached members against the
+    member's own component.
+    """
+    members = np.array(truth.members, dtype=np.int64)
+    cids = np.array([truth.component_of[x] for x in truth.members], dtype=np.int64)
+    sizes = np.bincount(cids)
+    m = members.size
+    encs = oracle.index_ints
+    k = len(encs)
+    fn = oracle._apply_fn
+    held = oracle._member_set
+    # a member the oracle does not hold is only met through an application
+    stop = next((p for p, x in enumerate(truth.members) if k and x not in held), m)
+    block = max(1, SWEEP_BLOCK_CAP // max(k, m + 1))
+    escape, escape_in_s, disconnected = None, False, False
+    # the worst TV so far, as num / den; with no indices den stays 0, and
+    # instant_mixing_tv() raises ZeroDivisionError
+    num, den = 0, 2 * k * int(sizes[cids[0]])
+    for lo in range(0, stop, block):
+        hi = min(lo + block, stop)
+        xs = truth.members[lo:hi]
+        images = np.fromiter(
+            (fn(enc, x) for x in xs for enc in encs), dtype=np.int64, count=len(xs) * k
+        ).reshape(len(xs), k)
+        pos = np.minimum(np.searchsorted(members, images), m - 1)
+        in_s = members[pos] == images
+        row_cid = cids[lo:hi]
+        out = np.flatnonzero(np.where(in_s, cids[pos], 0) != row_cid[:, None])
+        if escape is None and out.size:
+            r, c = divmod(int(out[0]), k)
+            escape, escape_in_s = int(images[r, c]), bool(in_s[r, c])
+        keys = np.arange(len(xs))[:, None] * (m + 1) + np.where(in_s, pos, m)
+        counts = np.bincount(keys.ravel(), minlength=len(xs) * (m + 1))
+        counts = counts.reshape(len(xs), m + 1)[:, :m]
+        own = cids[None, :] == row_cid[:, None]
+        size = sizes[row_cid]
+        # sum over the component of |c_u |C| - k|, plus |C| for each image
+        # that left it: the TV of the member's law is this over 2k|C|
+        numerators = (
+            np.where(own, np.abs(counts * size[:, None] - k), 0).sum(axis=1)
+            + (k - np.where(own, counts, 0).sum(axis=1)) * size
+        )
+        for a, b in zip(numerators.tolist(), (2 * k * size).tolist()):
+            if a * den > num * b:  # a / b > num / den, compared exactly
+                num, den = a, b
+        disconnected = disconnected or bool(np.any((counts > 0) != own))
+    return MixerSweep(
+        missing=None if stop == m else truth.members[stop],
+        escape=escape,
+        escape_in_s=escape_in_s,
+        disconnected=disconnected,
+        tv_numerator=num,
+        tv_denominator=den,
+    )
+
+
 def verify_no_cross_mixing(oracle: MixerOracle, truth: GroundTruthPartition) -> bool:
     """True iff no application moves an element out of its component."""
-    for x in truth.members:
-        cid = truth.component_id(x)
-        for enc in oracle.index_ints:
-            if truth.component_id(oracle.apply_int(enc, x)) != cid:
-                return False
-    return True
+    return sweep_mixer(oracle, truth).no_cross_mixing()
 
 
 def verify_instant_mixing(oracle: MixerOracle, truth: GroundTruthPartition) -> float:
     """Max over x of TV(law of M_I(x) for uniform I, uniform on x's component),
     exact by enumeration."""
-    k = len(oracle.index_ints)
-    worst = 0.0
-    for x in truth.members:
-        comp = truth.component_elements(truth.component_id(x))
-        # integer counts keep the result free of float roundoff
-        counts: dict[int, int] = {}
-        for enc in oracle.index_ints:
-            y = oracle.apply_int(enc, x)
-            counts[y] = counts.get(y, 0) + 1
-        numerator = sum(
-            abs(counts.get(u, 0) * len(comp) - k) for u in comp
-        ) + sum(c * len(comp) for u, c in counts.items() if u not in comp)
-        worst = max(worst, numerator / (2 * k * len(comp)))
-    return worst
+    return sweep_mixer(oracle, truth).instant_mixing_tv()
 
 
 def verify_full_connectivity(oracle: MixerOracle, truth: GroundTruthPartition) -> bool:
-    """True iff every member reaches exactly its own component in one step.
-
-    ``{M_i(s) : i in Ind}`` restricted to S must equal the component of s;
-    this is the pairwise ``full_connectivity_witness`` sweep, one image set
-    per member.
-    """
-    for s in truth.members:
-        images = {oracle.apply_int(enc, s) for enc in oracle.index_ints}
-        reached = {y for y in images if y in truth}
-        if reached != set(truth.component_elements(truth.component_id(s))):
-            return False
-    return True
+    """True iff every member reaches exactly its own component in one step:
+    ``{M_i(s) : i in Ind}`` restricted to S equals the component of s."""
+    return sweep_mixer(oracle, truth).full_connectivity()
 
 
 def full_connectivity_witness(

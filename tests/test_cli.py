@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from mixerlab import GroundTruthPartition
+from mixerlab import GroundTruthPartition, cli
 
 PARTITION = GroundTruthPartition.from_components(3, [[0, 1, 2], [3, 4]]).to_json_dict()
 BALANCED = GroundTruthPartition.from_components(2, [[0, 1], [2, 3]]).to_json_dict()
@@ -184,6 +184,53 @@ def test_output_path_in_a_missing_directory_exits_1_naming_it(tmp_path, flag):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"output error: cannot write {path}: ")
     assert "Traceback" not in proc.stderr
+
+
+COAM = {"experiment": "coam", "seed": 1, "trials": 5,
+        "instance": {"family": "offset", "partition": BALANCED}}
+
+
+@pytest.mark.parametrize(
+    "bad, report_exists", [("--output", False), ("--csv", False), ("--csv", True), ("config", False)]
+)
+def test_unwritable_output_exits_1_before_the_experiment(
+    tmp_path, monkeypatch, capsys, bad, report_exists
+):
+    monkeypatch.setattr(cli, "_run_experiment", lambda config: pytest.fail("experiment ran"))
+    missing = str(tmp_path / "missing" / "out")
+    report, rows = tmp_path / "r.json", tmp_path / "x.csv"
+    if report_exists:
+        report.write_text("old report\n")
+    config = dict(COAM, output=missing) if bad == "config" else COAM
+    argv = ["run", write_config(tmp_path, "c.json", config),
+            "--csv", missing if bad == "--csv" else str(rows)]
+    if bad != "config":
+        argv += ["--output", missing if bad == "--output" else str(report)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"output error: cannot write {missing}: ")
+    # the report path was probed first: an old report is kept, a new one not left
+    assert report.read_text() == "old report\n" if report_exists else not report.exists()
+    assert not rows.exists()
+
+
+@pytest.mark.parametrize("lost", ["report", "csv"])
+def test_a_failed_write_leaves_no_report(tmp_path, monkeypatch, capsys, lost):
+    # the directory of one output vanishes while the experiment runs
+    (tmp_path / "report").mkdir()
+    (tmp_path / "csv").mkdir()
+    report, rows = tmp_path / "report" / "r.json", tmp_path / "csv" / "x.csv"
+    run = cli._run_experiment
+
+    def run_then_remove(config):
+        (tmp_path / lost).rmdir()
+        return run(config)
+
+    monkeypatch.setattr(cli, "_run_experiment", run_then_remove)
+    argv = ["run", write_config(tmp_path, "c.json", COAM), "--output", str(report), "--csv", str(rows)]
+    assert cli.main(argv) == 1
+    gone = report if lost == "report" else rows
+    assert capsys.readouterr().err.startswith(f"output error: cannot write {gone}: ")
+    assert not report.exists() and not rows.exists()
 
 
 def test_invalid_json_is_a_config_error(tmp_path):

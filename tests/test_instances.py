@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,37 @@ def test_graph_permutation_action():
     # swapping the first two vertices of a 3-vertex graph swaps edges 02 / 12
     assert graph_apply_permutation((1, 0, 2), 0b100, 3) == 0b100
     assert graph_apply_permutation((1, 0, 2), 0b010, 3) == 0b001
+
+
+def reference_graph_permutation(perm, x, v):
+    """The relabelling with its edge list and edge-index map built per call."""
+    pairs = [(u, w) for u in range(v) for w in range(u + 1, v)]
+    n = len(pairs)
+    idx = {pq: k for k, pq in enumerate(pairs)}
+    out = 0
+    for k, (u, w) in enumerate(pairs):
+        if (x >> (n - 1 - k)) & 1:
+            a, b = sorted((perm[u], perm[w]))
+            out |= 1 << (n - 1 - idx[(a, b)])
+    return out
+
+
+@pytest.mark.parametrize("v", [2, 3, 4])
+def test_cached_edge_tables_match_a_per_call_construction(v):
+    n = v * (v - 1) // 2
+    perms = list(itertools.permutations(range(v)))
+    for perm in perms:
+        for x in range(1 << n):
+            assert graph_apply_permutation(perm, x, v) == reference_graph_permutation(perm, x, v)
+    # the orbits, found with the per-call construction and numbered in order
+    # of their least element, are the components
+    component_of = {}
+    for x in range(1 << n):
+        if x not in component_of:
+            cid = len(set(component_of.values())) + 1
+            component_of.update((reference_graph_permutation(p, x, v), cid) for p in perms)
+    _, truth = make_graph_iso_mixer(v)
+    assert truth.component_of == component_of
 
 
 def test_graph_orbit_sizes_three_vertices():

@@ -341,6 +341,20 @@ def test_non_bijective_mixer_names_the_first_offending_index():
         apply_cm(QuantumState.basis((3, k, 4), (2, 0, 0)), oracle, 0, 1, 2)
 
 
+def test_a_measurement_that_raises_charges_nothing():
+    g = PointFunction(2, 1)
+    oracle = make_grover_mixer(2, g)
+    session = oracle.session()
+    with pytest.raises(InvalidArgumentError, match="index 1 is not a bijection"):
+        measure_component_projector(
+            QuantumState.basis((4,), 0), oracle, np.random.default_rng(0), session=session
+        )
+    with pytest.raises(InvalidArgumentError, match="index 1 is not a bijection"):
+        apply_cm(QuantumState.basis((3, 4, 4), (2, 0, 0)), oracle, 0, 1, 2, session=session)
+    assert charged(session) == {}
+    assert g.queries == 0
+
+
 def test_projector_work_tensor_is_capped_before_tables_are_built(monkeypatch):
     oracle, _ = make_coset_mixer(1024, [1])
     assert len(oracle.index_ints) == 1024
