@@ -29,9 +29,8 @@ def instant_mixing_bound(n: int) -> float:
     return 2.0 ** (-(n + 2))
 
 
-# the most (member, index) images one block of the sweep holds; a block also
-# holds one count per (member, element of S), so its rows are capped by the
-# larger of |Ind| and |S| + 1, and a single row is the floor
+# the most (member, index) images one block of the sweep holds, so a block has
+# at most SWEEP_BLOCK_CAP // |Ind| members and never fewer than one
 SWEEP_BLOCK_CAP = 1 << 16
 
 
@@ -82,9 +81,10 @@ def sweep_mixer(oracle: MixerOracle, truth: GroundTruthPartition) -> MixerSweep:
 
     Members go in blocks of at most ``SWEEP_BLOCK_CAP`` images (one row per
     member), located in S by a sorted search. Per row: the first image whose
-    component differs from the member's; integer image counts per member of
-    S, so the TV numerator stays exact; and the reached members against the
-    member's own component.
+    component differs from the member's; the sorted hits in the member's own
+    component, whose run lengths are the exact integer image counts behind
+    the TV numerator; and whether every in-S image is an own hit and every
+    member of the component is hit.
     """
     members = np.array(truth.members, dtype=np.int64)
     cids = np.array([truth.component_of[x] for x in truth.members], dtype=np.int64)
@@ -96,7 +96,7 @@ def sweep_mixer(oracle: MixerOracle, truth: GroundTruthPartition) -> MixerSweep:
     held = oracle._member_set
     # a member the oracle does not hold is only met through an application
     stop = next((p for p, x in enumerate(truth.members) if k and x not in held), m)
-    block = max(1, SWEEP_BLOCK_CAP // max(k, m + 1))
+    block = max(1, SWEEP_BLOCK_CAP // max(k, 1))
     escape, escape_in_s, disconnected = None, False, False
     # the worst TV so far, as num / den; with no indices den stays 0, and
     # instant_mixing_tv() raises ZeroDivisionError
@@ -104,9 +104,10 @@ def sweep_mixer(oracle: MixerOracle, truth: GroundTruthPartition) -> MixerSweep:
     for lo in range(0, stop, block):
         hi = min(lo + block, stop)
         xs = truth.members[lo:hi]
+        rows = len(xs)
         images = np.fromiter(
-            (fn(enc, x) for x in xs for enc in encs), dtype=np.int64, count=len(xs) * k
-        ).reshape(len(xs), k)
+            (fn(enc, x) for x in xs for enc in encs), dtype=np.int64, count=rows * k
+        ).reshape(rows, k)
         pos = np.minimum(np.searchsorted(members, images), m - 1)
         in_s = members[pos] == images
         row_cid = cids[lo:hi]
@@ -114,21 +115,28 @@ def sweep_mixer(oracle: MixerOracle, truth: GroundTruthPartition) -> MixerSweep:
         if escape is None and out.size:
             r, c = divmod(int(out[0]), k)
             escape, escape_in_s = int(images[r, c]), bool(in_s[r, c])
-        keys = np.arange(len(xs))[:, None] * (m + 1) + np.where(in_s, pos, m)
-        counts = np.bincount(keys.ravel(), minlength=len(xs) * (m + 1))
-        counts = counts.reshape(len(xs), m + 1)[:, :m]
-        own = cids[None, :] == row_cid[:, None]
+        own = in_s & (cids[pos] == row_cid[:, None])
+        # each row's own hits sorted by position in S, m for any other image,
+        # offset by row * (m + 1) so that no run of equal keys spans two rows
+        keys = (np.sort(np.where(own, pos, m), axis=1)
+                + np.arange(rows)[:, None] * (m + 1)).ravel()
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        counts = np.diff(starts, append=keys.size)
+        row_of, key = np.divmod(keys[starts], m + 1)
+        hit = key < m
+        row_of, counts = row_of[hit], counts[hit]
         size = sizes[row_cid]
-        # sum over the component of |c_u |C| - k|, plus |C| for each image
-        # that left it: the TV of the member's law is this over 2k|C|
-        numerators = (
-            np.where(own, np.abs(counts * size[:, None] - k), 0).sum(axis=1)
-            + (k - np.where(own, counts, 0).sum(axis=1)) * size
-        )
+        reached = np.bincount(row_of, minlength=rows)
+        spread = np.zeros(rows, dtype=np.int64)
+        np.add.at(spread, row_of, np.abs(counts * size[row_of] - k))
+        # sum over the component of |c_u |C| - k| (k for each member not hit),
+        # plus |C| for each image that left it: the TV of the member's law is
+        # this over 2k|C|
+        numerators = (size - reached) * k + spread + (k - own.sum(axis=1)) * size
         for a, b in zip(numerators.tolist(), (2 * k * size).tolist()):
             if a * den > num * b:  # a / b > num / den, compared exactly
                 num, den = a, b
-        disconnected = disconnected or bool(np.any((counts > 0) != own))
+        disconnected = disconnected or bool(np.any(in_s & ~own) or np.any(reached != size))
     return MixerSweep(
         missing=None if stop == m else truth.members[stop],
         escape=escape,

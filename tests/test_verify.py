@@ -80,7 +80,7 @@ def assert_matches_reference(oracle, truth, rows_per_block=None):
     sweep in blocks of ``rows_per_block`` members when given."""
     cap = verify.SWEEP_BLOCK_CAP
     if rows_per_block is not None:
-        cap = rows_per_block * max(len(oracle.index_ints), len(truth.members) + 1)
+        cap = rows_per_block * max(len(oracle.index_ints), 1)
     with mock.patch.object(verify, "SWEEP_BLOCK_CAP", cap):
         for verifier, reference in PAIRS:
             assert outcome(verifier, oracle, truth) == outcome(reference, oracle, truth)
@@ -120,12 +120,12 @@ def partitions(draw, max_n=3):
 
 
 def sub_index_sets(oracle):
-    """The identity index plus any subset of the others, in canonical order."""
+    """The identity index plus any subset of the others, in any order."""
     rest = oracle.index_ints[1:]
     if not rest:
         return st.just([oracle.index_ints[0]])
     return st.lists(st.sampled_from(rest), unique=True).map(
-        lambda keep: [oracle.index_ints[0], *sorted(keep, key=oracle.index_ints.index)]
+        lambda keep: [oracle.index_ints[0], *keep]
     )
 
 
@@ -281,17 +281,25 @@ def test_the_sweep_applies_each_pair_once(monkeypatch):
     )
 
 
-def test_a_block_never_holds_more_than_the_cap(monkeypatch):
-    oracle, truth = make_coset_mixer(64, [1])
-    shapes = []
+@pytest.mark.parametrize("modulus, generator, cap, shapes", [
+    # |Ind| = 64 images per row, so three rows per block
+    (64, 1, 200, [3 * 64] * 21 + [64]),
+    # |Ind| = 2: a row's work follows |Ind| alone, so 4096 members fit in one
+    (4096, 2048, verify.SWEEP_BLOCK_CAP, [4096 * 2]),
+])
+def test_a_block_never_holds_more_than_the_cap(monkeypatch, modulus, generator, cap, shapes):
+    oracle, truth = make_coset_mixer(modulus, [generator])
+    seen = []
     real = np.fromiter
     monkeypatch.setattr(
-        verify.np, "fromiter", lambda *a, **kw: shapes.append(kw["count"]) or real(*a, **kw)
+        verify.np, "fromiter", lambda *a, **kw: seen.append(kw["count"]) or real(*a, **kw)
     )
-    monkeypatch.setattr(verify, "SWEEP_BLOCK_CAP", 200)
-    assert verify_instant_mixing(oracle, truth) == 0.0
-    # |Ind| = 64 and |S| + 1 = 65 per row, so three rows per block
-    assert shapes == [3 * 64] * 21 + [64]
+    monkeypatch.setattr(verify, "SWEEP_BLOCK_CAP", cap)
+    sweep = sweep_mixer(oracle, truth)
+    assert seen == shapes
+    assert (sweep.no_cross_mixing(), sweep.instant_mixing_tv(), sweep.full_connectivity()) == (
+        True, 0.0, True,
+    )
 
 
 # -- connectivity against the pairwise witness sweep ---------------------------
