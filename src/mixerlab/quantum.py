@@ -14,7 +14,9 @@ controlled-mixer step also charges the oracle's point function, if any.
 Mixer applications read the oracle's stacked index-by-element tables
 (:meth:`MixerOracle.permutation_tables`): each controlled-mixer step is one
 array gather over the whole index register. The tables are built on the
-oracle's first quantum use and cached on it.
+oracle's first quantum use and cached on it. The component projector builds
+its flag branches as separate arrays, the flag-0 branch only when drawn, so
+its largest array holds r * 2^n * |Ind| amplitudes (r: the other registers).
 """
 
 from dataclasses import dataclass
@@ -255,9 +257,17 @@ def measure_component_projector(
     unentangled. Garbage basis states (outside S) pass the measurement
     untouched, since every mixer application fixes them.
 
-    The work tensor holds r * 2^n * |Ind| * 2 amplitudes, where r is the
-    dimension of the other registers; above ``STATE_DIM_CAP`` this raises
-    before any table is built or memory allocated.
+    Each flag branch is a 3-axis array: flag 1 holds e0[:, fwd[j, y]], with
+    e0 the |e0> part of w0[:, j, y] = amp[:, inv[j, y]] / sqrt(|Ind|), and
+    gives the Born probability; flag 0 holds (w0 - e0)[:, j, fwd[j, y]] and
+    is gathered only when drawn, so a branch no outcome takes never raises.
+    The largest array holds r * 2^n * |Ind| amplitudes, r the dimension of
+    the other registers. The cap still bounds r * 2^n * |Ind| * 2 and raises
+    before any table is built; lifting it means streaming over the index
+    rows (ROADMAP item 5). Results match the full (r, 2^n, |Ind|, 2) tensor
+    bit for bit, so e0 adds the rows j in order (a middle-axis sum, not the
+    pairwise sum over a contiguous last axis) and each branch is summed in
+    C-ordered (r, 2^n, |Ind|) layout: a sum rounds by the layout it runs over.
     """
     da = state.dims[axis]
     if da != 1 << oracle.n:
@@ -279,33 +289,32 @@ def measure_component_projector(
     amp = np.moveaxis(state.amp, axis, -1)
     rest_shape = amp.shape[:-1]
     amp = amp.reshape(-1, da)
-    r = amp.shape[0]
+    root_k = np.sqrt(k)
 
     # steps 1-2: adjoin B = |e0> and C = |0>, then apply
-    # U = sum_j Mtilde_j (x) |j><j|, so that work[:, y, j, 0] = amp[:, inv[j, y]]
-    work = np.zeros((r, da, k, 2), dtype=complex)
-    work[:, :, :, 0] = amp[:, inv.T] / np.sqrt(k)
+    # U = sum_j Mtilde_j (x) |j><j|. numpy divides a complex array by a real
+    # scalar by multiplying with its reciprocal: this rounds as ``/ root_k``.
+    w0 = np.take(amp, inv, axis=1) * (1 / root_k)  # flag 0, (r, k, 2^n)
 
-    # step 3: flip C on the |e0> component of B
-    mean = work.sum(axis=2) / np.sqrt(k)           # <e0|_B work
-    e0_part = mean[:, :, None, :] / np.sqrt(k)     # |e0><e0| work
-    work = (work - e0_part) + e0_part[..., ::-1]
+    # step 3: flip C on the |e0> component of B; the flip moves it to flag 1
+    e0_part = w0.sum(axis=1) / root_k / root_k     # |e0><e0| w0, one row
 
-    # step 4: uncompute with U^dagger. Write into the C-ordered buffer rather
-    # than rebind ``work`` to the gather's result: the sums below round
-    # according to the memory layout they run over.
-    work[...] = work[:, fwd.T, np.arange(k), :]
-
-    p1 = float(np.sum(np.abs(work[:, :, :, 1]) ** 2))
+    # step 4: uncompute with U^dagger. Each branch is gathered C-ordered
+    # (r, 2^n, k): the sums below round according to that layout.
+    branch1 = np.take(e0_part, fwd.T, axis=1)
+    p1 = float(np.sum(np.abs(branch1) ** 2))
     outcome = 1 if rng.random() < p1 else 0
-    kept = work[:, :, :, outcome]
+    if outcome == 1:
+        kept = branch1
+    else:  # gathered only when drawn, so a branch no trial takes never raises
+        kept = np.ascontiguousarray((w0 - e0_part[:, None, :])[:, np.arange(k), fwd.T])
     kept_norm = np.linalg.norm(kept)
     if kept_norm == 0:
         raise InvalidArgumentError("measurement collapsed to the zero vector")
-    kept = kept / kept_norm
+    kept = kept * (1 / kept_norm)  # = kept / kept_norm, as in step 2
 
     # discard B by contracting with |e0>; exact for exactly mixing families
-    proj_b = kept.sum(axis=2) / np.sqrt(k)
+    proj_b = kept.sum(axis=2) / root_k
     fidelity = float(np.linalg.norm(proj_b))
     if fidelity == 0:
         raise InvalidArgumentError("index register lost all weight on |e0>")

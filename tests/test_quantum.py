@@ -11,6 +11,7 @@ from mixerlab import (
     component_projector_matrix,
     exact_component_projector,
     make_coset_mixer,
+    make_graph_iso_mixer,
     make_grover_mixer,
     make_offset_mixer,
     measure_component_projector,
@@ -19,6 +20,7 @@ from mixerlab import (
     trace_distance,
 )
 from mixerlab.errors import InvalidArgumentError
+from mixerlab.protocols import build_qma_witness
 from mixerlab.quantum import (
     ALPHA_VALUES,
     STATE_DIM_CAP,
@@ -139,7 +141,6 @@ def test_projector_measurement_statistics(setup):
     # exact outcome-1 probability on a basis state is 1/|component|
     for s, expected in [(0, 1 / 3), (4, 1 / 2)]:
         state = QuantumState.basis((8,), s)
-        probs = []
         rng = np.random.default_rng(5)
         result = measure_component_projector(state, oracle, rng)
         assert result.probability_one == pytest.approx(expected, abs=1e-9)
@@ -277,22 +278,47 @@ def oracles(draw):
     return oracle
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    oracle=oracles(),
-    r=st.sampled_from([1, 3, 4]),
-    axis=st.sampled_from([0, 1]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_projector_is_bitwise_identical_to_the_per_index_loops(oracle, r, axis, seed):
-    da = 1 << oracle.n
-    state = random_state((da, r) if axis == 0 else (r, da), seed)
+def assert_matches_reference(state, oracle, seed, axis):
     expected = reference_projector(state, oracle, np.random.default_rng(seed), axis)
     result = measure_component_projector(state, oracle, np.random.default_rng(seed), axis)
     assert result.outcome == expected[0]
     assert result.probability_one == expected[1]
     assert result.ancilla_fidelity == expected[2]
     assert np.array_equal(result.state.amp, expected[3])
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    oracle=oracles(),
+    r=st.sampled_from([1, 3, 4, "2^n"]),  # 2^n: the shape of a QMA witness
+    axis=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projector_is_bitwise_identical_to_the_per_index_loops(oracle, r, axis, seed):
+    da = 1 << oracle.n
+    r = da if r == "2^n" else r
+    state = random_state((da, r) if axis == 0 else (r, da), seed)
+    assert_matches_reference(state, oracle, seed, axis)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("r", [1, 8])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_projector_matches_the_loops_on_graphiso_v3(axis, r, seed):
+    oracle, _ = make_graph_iso_mixer(3)
+    assert len(oracle.index_ints) == 6
+    state = random_state((8, r) if axis == 0 else (r, 8), seed)
+    assert_matches_reference(state, oracle, seed, axis)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_projector_matches_the_loops_on_the_qma_witness(seed):
+    # qma-offset3: both registers projected in turn, as qma_verify_mc does
+    truth = GroundTruthPartition.from_components(3, [[0, 1, 2, 3], [4, 5, 6, 7]])
+    oracle = make_offset_mixer(truth)
+    first = assert_matches_reference(build_qma_witness(truth, 1, 2), oracle, seed, 0)
+    assert_matches_reference(first.state, oracle, seed + 100, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,6 +379,37 @@ def test_a_measurement_that_raises_charges_nothing():
         apply_cm(QuantumState.basis((3, 4, 4), (2, 0, 0)), oracle, 0, 1, 2, session=session)
     assert charged(session) == {}
     assert g.queries == 0
+
+
+def lazy_branch_case(name):
+    """An exact mixer, a component superposition's support and a pair (a, b)
+    inside one component; "gated" meters a point function."""
+    if name == "offset":
+        truth = GroundTruthPartition.from_components(3, [[0, 1, 2], [3, 4]])
+        return make_offset_mixer(truth), [3, 4], (3, 4)
+    return make_grover_mixer(2, PointFunction(2)), [0, 1, 2, 3], (0, 1)
+
+
+@pytest.mark.parametrize("name", ["offset", "gated"])
+def test_a_branch_no_trial_takes_never_raises(name):
+    oracle, support, (a, b) = lazy_branch_case(name)
+    dim = 1 << oracle.n
+    inside = QuantumState.uniform(dim, support)
+    amp = np.zeros(dim, dtype=complex)
+    amp[a], amp[b] = 1, -1
+    outside = QuantumState((dim,), amp, normalize=True)  # P psi = 0 exactly
+    # the flag-1 branch of ``outside`` is all zeros, so drawing it would raise
+    assert measure_component_projector(outside, oracle, np.random.default_rng(0)).probability_one == 0.0
+    rng = np.random.default_rng(12)
+    for state, outcome in ((inside, 1), (outside, 0)):
+        for _ in range(200):
+            session = oracle.session()
+            g_before = oracle.point.queries if oracle.point else 0
+            result = measure_component_projector(state, oracle, rng, session=session)
+            assert result.outcome == outcome
+            assert charged(session) == {"CM": 2, "project_Ind": 2}
+            if oracle.point is not None:  # one g evaluation per CM step, 2 queries each
+                assert oracle.point.queries - g_before == 2 * 2
 
 
 def test_projector_work_tensor_is_capped_before_tables_are_built(monkeypatch):
