@@ -169,7 +169,7 @@ def _rows(outcomes, column: str, value) -> list[dict]:
 
 def _run_experiment(config: dict):
     name = config["experiment"]
-    seed = _int_field(config, "seed")
+    seed = _int_field(config, "seed", low=0)
     trials = _int_field(config, "trials", 1000, low=1)
     params = dict(config.get("params", {}))
     budgets = dict(config.get("budgets", {}))

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExhaustedError, InvalidArgumentError
-from .instances import PointFunction
+from .instances import PointFunction, make_grover_mixer
 from .layered import LayeredInstance, apply_hiding, hide_instance, make_layered_instance
 from .oracle import LabelSession, MixerOracle, QuerySession
 from .partition import GroundTruthPartition
+from .protocols import EstimatedProbability
 from .quantum import DensityMatrix, QuantumState, trace_distance
 from .trials import run_seeded_trials, trial_rng
 
@@ -120,23 +121,16 @@ def solve_component_superposition_via_counterfeiter(
     s: int,
     alg,
     rng,
-    pi=None,
-    sigma=None,
 ) -> SolveResult:
     """Solve component superposition using a counterfeiter as a subroutine.
 
-    Builds the collapsed-row-0 embedding, hides it with fresh permutations
-    (or the explicit pair given), runs the counterfeiter from the hidden
-    image of (0, s), undoes the hiding permutation coherently, and returns
-    the last n qubits of the result.
+    Builds the collapsed-row-0 embedding, hides it with fresh permutations,
+    runs the counterfeiter from the hidden image of (0, s), undoes the hiding
+    permutation coherently, and returns the last n qubits of the result.
     """
     if s not in base_truth:
         raise InvalidArgumentError(f"{s} is not a member of S")
-    instance = make_layered_instance(base_oracle, base_truth, "row0")
-    if pi is None:
-        instance = hide_instance(instance, rng)
-    else:
-        instance = apply_hiding(instance, pi, sigma)
+    instance = hide_instance(make_layered_instance(base_oracle, base_truth, "row0"), rng)
     output, _, _ = run_counterfeiter(alg, instance, s, rng)
 
     # undo pi coherently: |x> -> |pi^-1(x)>
@@ -353,9 +347,6 @@ def grover_embedding_query_experiment(
     half a uniformly random marked point ("multiple" is correct). Every
     mixer application costs two point-function queries.
     """
-    from .instances import make_grover_mixer
-    from .protocols import EstimatedProbability
-
     def one(t, rng):
         marked = t % 2 == 1
         y = int(rng.integers(1 << n)) if marked else None

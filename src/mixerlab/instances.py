@@ -19,14 +19,42 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bits import from_bits
 from .errors import InvalidArgumentError, MalformedQueryError, check_int
 from .oracle import MixerOracle
 from .partition import GroundTruthPartition
 
+# make_grover_mixer and make_coset_mixer enumerate every member and index;
+# both caps allow at most 2^16 members
+GROVER_MAX_N = 16
+COSET_MAX_MODULUS = 1 << 16
+
 
 def _field_width(size: int) -> int:
     return max(1, (size - 1).bit_length())
+
+
+def _pack(fields, widths) -> int:
+    """Concatenate fixed-width fields into one encoding, the first field in
+    the most significant bits."""
+    enc = 0
+    for value, width in zip(fields, widths):
+        enc = (enc << width) | value
+    return enc
+
+
+def _orbit_partition(n: int, elements, orbit) -> GroundTruthPartition:
+    """The partition of ``elements`` (ascending) into the orbits ``orbit(x)``
+    yields, numbered in order of their least element."""
+    component_of: dict[int, int] = {}
+    count = 0
+    for x in elements:
+        if x not in component_of:
+            count += 1
+            component_of.update(dict.fromkeys(orbit(x), count))
+    return GroundTruthPartition(n, component_of)
 
 
 # ---------------------------------------------------------------------------
@@ -37,46 +65,31 @@ def make_offset_mixer(truth: GroundTruthPartition) -> MixerOracle:
     """Exact mixer: index = one offset per component, applied cyclically.
 
     Ind is the set of tuples (k_1, ..., k_c) with k_a < |S_a|, encoded as
-    concatenated fixed-width fields. Uniform offsets give exactly uniform
-    outputs within each component.
+    concatenated fixed-width fields in product order. Uniform offsets give
+    exactly uniform outputs within each component.
     """
     c = truth.num_components
     comps = [truth.component_elements(a) for a in range(1, c + 1)]
     sizes = [len(comp) for comp in comps]
     widths = [_field_width(size) for size in sizes]
-    index_width = sum(widths)
     pos = {x: (a, p) for a, comp in enumerate(comps) for p, x in enumerate(comp)}
-
-    def encode(ks) -> int:
-        enc = 0
-        for k, w in zip(ks, widths):
-            enc = (enc << w) | k
-        return enc
-
-    def decode(enc: int) -> tuple[int, ...]:
-        ks = []
-        for w in reversed(widths):
-            ks.append(enc & ((1 << w) - 1))
-            enc >>= w
-        return tuple(reversed(ks))
-
-    index_ints = [encode(ks) for ks in itertools.product(*(range(s) for s in sizes))]
+    offsets = {
+        _pack(ks, widths): ks for ks in itertools.product(*(range(s) for s in sizes))
+    }
 
     def apply_fn(enc: int, x: int) -> int:
         a, p = pos[x]
-        k = decode(enc)[a]
-        return comps[a][(p + k) % sizes[a]]
+        return comps[a][(p + offsets[enc][a]) % sizes[a]]
 
     def inverse_fn(enc: int, x: int) -> int:
         a, p = pos[x]
-        k = decode(enc)[a]
-        return comps[a][(p - k) % sizes[a]]
+        return comps[a][(p - offsets[enc][a]) % sizes[a]]
 
     return MixerOracle(
         n=truth.n,
-        index_width=index_width,
+        index_width=sum(widths),
         members=truth.members,
-        index_ints=index_ints,
+        index_ints=offsets,
         apply_fn=apply_fn,
         inverse_fn=inverse_fn,
         name="offset",
@@ -120,51 +133,26 @@ def make_graph_iso_mixer(v: int) -> tuple[MixerOracle, GroundTruthPartition]:
     if v < 2 or v > 5:
         raise InvalidArgumentError("vertex count must be between 2 and 5")
     n = v * (v - 1) // 2
-    w = _field_width(v)
-    index_width = v * w
+    widths = [_field_width(v)] * v
     perms = sorted(itertools.permutations(range(v)))
-
-    def encode(perm) -> int:
-        enc = 0
-        for image in perm:
-            enc = (enc << w) | image
-        return enc
-
-    def decode(enc: int) -> tuple[int, ...] | None:
-        fields = []
-        for _ in range(v):
-            fields.append(enc & ((1 << w) - 1))
-            enc >>= w
-        perm = tuple(reversed(fields))
-        return perm if sorted(perm) == list(range(v)) else None
-
-    index_ints = [encode(p) for p in perms]
+    # each index encoding (the images of 0..v-1) resolved once
+    perm_of = {_pack(p, widths): p for p in perms}
+    inverse_of = {enc: tuple(p.index(u) for u in range(v)) for enc, p in perm_of.items()}
 
     def apply_fn(enc: int, x: int) -> int:
-        return graph_apply_permutation(decode(enc), x, v)
+        return graph_apply_permutation(perm_of[enc], x, v)
 
     def inverse_fn(enc: int, x: int) -> int:
-        perm = decode(enc)
-        inv = tuple(perm.index(u) for u in range(v))
-        return graph_apply_permutation(inv, x, v)
+        return graph_apply_permutation(inverse_of[enc], x, v)
 
-    # orbit enumeration for the ground truth
-    component_of: dict[int, int] = {}
-    next_id = 1
-    for x in range(1 << n):
-        if x in component_of:
-            continue
-        orbit = {graph_apply_permutation(p, x, v) for p in perms}
-        for y in sorted(orbit):
-            component_of[y] = next_id
-        next_id += 1
-    truth = GroundTruthPartition(n, component_of)
-
+    truth = _orbit_partition(
+        n, range(1 << n), lambda x: {graph_apply_permutation(p, x, v) for p in perms}
+    )
     oracle = MixerOracle(
         n=n,
-        index_width=index_width,
+        index_width=sum(widths),
         members=range(1 << n),
-        index_ints=index_ints,
+        index_ints=perm_of,
         apply_fn=apply_fn,
         inverse_fn=inverse_fn,
         name=f"graphiso-v{v}",
@@ -198,22 +186,15 @@ def make_coset_mixer(
 
     Components are the cosets of H; indices are the elements of H themselves,
     encoded in n bits. An empty generator set gives H = {0} and every element
-    its own component.
+    its own component. ``modulus`` runs from 1 to :data:`COSET_MAX_MODULUS`.
     """
-    if modulus < 1:
-        raise InvalidArgumentError("modulus must be positive")
+    if not 1 <= modulus <= COSET_MAX_MODULUS:
+        raise InvalidArgumentError(
+            f"coset modulus must be between 1 and {COSET_MAX_MODULUS}, got {modulus}"
+        )
     n = _field_width(modulus)
     h = subgroup_closure(modulus, generators)
-    hset = set(h)
-    component_of: dict[int, int] = {}
-    next_id = 1
-    for x in range(modulus):
-        if x in component_of:
-            continue
-        for e in hset:
-            component_of[(x + e) % modulus] = next_id
-        next_id += 1
-    truth = GroundTruthPartition(n, component_of)
+    truth = _orbit_partition(n, range(modulus), lambda x: ((x + e) % modulus for e in h))
 
     def apply_fn(enc: int, x: int) -> int:
         return (x + enc) % modulus
@@ -262,10 +243,6 @@ class PointFunction:
         row test computes g(r) into an ancilla and uncomputes it. A classical
         layered evaluation needs only one, but sessions charge all alike."""
         self.queries += 2 * evaluations
-
-
-# make_grover_mixer enumerates all 2^n members and indices
-GROVER_MAX_N = 16
 
 
 def make_grover_mixer(n: int, g: PointFunction) -> MixerOracle:
@@ -335,13 +312,13 @@ def instance_from_config(spec: dict) -> InstanceBundle:
     generators), grover (n, point), layered (base spec + variant + hide).
     Construction is deterministic given the spec's seed.
     """
-    import numpy as np
-
     if not isinstance(spec, dict):
         raise InvalidArgumentError(f"an instance spec must be a JSON object, got {spec!r}")
     spec = dict(spec)
     family = spec.pop("family", None)
     seed = check_int(spec.pop("seed", 0), "instance seed")
+    if seed < 0:
+        raise InvalidArgumentError(f"instance seed must be at least 0, got {seed}")
     if family == "offset":
         truth = GroundTruthPartition.from_json_dict(_take(spec, "partition", family))
         _reject_unknown(spec, "offset")

@@ -19,6 +19,7 @@ its flag branches as separate arrays, the flag-0 branch only when drawn, so
 its largest array holds r * 2^n * |Ind| amplitudes (r: the other registers).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class QuantumState:
         if amp.size > STATE_DIM_CAP:
             raise InvalidArgumentError(f"state dimension {amp.size} exceeds cap")
         norm = np.linalg.norm(amp)
+        if not math.isfinite(norm):
+            raise InvalidArgumentError(f"state norm {norm} is not finite")
         if normalize:
             if norm == 0:
                 raise InvalidArgumentError("cannot normalize the zero vector")
@@ -99,18 +102,17 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, check: bool = True):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("density matrix must be square")
-        if check:
-            if np.max(np.abs(m - m.conj().T)) > 1e-8:
-                raise InvalidArgumentError("density matrix is not Hermitian")
-            tr = np.trace(m).real
-            if abs(tr - 1.0) > TRACE_TOL * max(1, m.shape[0]):
-                raise InvalidArgumentError(f"trace {tr} is not 1")
-            if np.min(np.linalg.eigvalsh(m)) < -1e-8:
-                raise InvalidArgumentError("density matrix is not PSD")
+        if np.max(np.abs(m - m.conj().T)) > 1e-8:
+            raise InvalidArgumentError("density matrix is not Hermitian")
+        tr = np.trace(m).real
+        if abs(tr - 1.0) > TRACE_TOL * max(1, m.shape[0]):
+            raise InvalidArgumentError(f"trace {tr} is not 1")
+        if np.min(np.linalg.eigvalsh(m)) < -1e-8:
+            raise InvalidArgumentError("density matrix is not PSD")
         self.matrix = m
 
     @classmethod
@@ -337,8 +339,8 @@ def component_projector_matrix(oracle: MixerOracle) -> np.ndarray:
     return acc / len(oracle.index_ints)
 
 
-def exact_component_projector(truth, include_garbage_identity=True) -> np.ndarray:
-    """P = sum_k |S_k><S_k|, optionally plus the identity on garbage.
+def exact_component_projector(truth) -> np.ndarray:
+    """P = sum_k |S_k><S_k| plus the identity on garbage.
 
     The mixer acts as the identity on basis states outside S, so the
     averaged-mixer matrix equals P extended by the garbage identity.
@@ -348,9 +350,8 @@ def exact_component_projector(truth, include_garbage_identity=True) -> np.ndarra
     for cid in range(1, truth.num_components + 1):
         elems = list(truth.component_elements(cid))
         p[np.ix_(elems, elems)] = 1.0 / len(elems)
-    if include_garbage_identity:
-        for x in truth.garbage:
-            p[x, x] = 1.0
+    for x in truth.garbage:
+        p[x, x] = 1.0
     return p
 
 

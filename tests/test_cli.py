@@ -289,6 +289,18 @@ def test_command_line_errors_exit_1(tmp_path, args):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_negative_seed_on_the_command_line_is_a_config_error(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {"experiment": "coam", "seed": 1, "trials": 5,
+         "instance": {"family": "offset", "partition": BALANCED}},
+    )
+    proc = run_cli("run", cfg, "--seed", "-5")
+    assert proc.returncode == 1
+    assert proc.stderr == "config error: seed must be at least 0, got -5\n"
+
+
 def test_missing_subcommand_exits_1_and_help_exits_0():
     proc = run_cli()
     assert proc.returncode == 1 and proc.stderr.startswith("usage:")
@@ -329,6 +341,15 @@ COSET4 = {"family": "coset", "modulus": 4, "generators": [2]}
          "no component 9: component ids run 1..2"),
         ({"experiment": "coam", "instance": COSET4, "seed": "x"},
          "seed must be an integer, got 'x'"),
+        ({"experiment": "coam", "instance": COSET4, "seed": -1},
+         "seed must be at least 0, got -1"),
+        ({"experiment": "verify-mixer", "instance": {
+            "family": "layered", "base": COSET4, "variant": "row0", "hide": True, "seed": -3}},
+         "instance seed must be at least 0, got -3"),
+        # over the cap: rejected before any residue is enumerated
+        ({"experiment": "verify-mixer",
+          "instance": {"family": "coset", "modulus": 65537, "generators": [1]}},
+         "coset modulus must be between 1 and 65536, got 65537"),
         ({"experiment": "coam", "instance": COSET4, "trials": "x"},
          "trials must be an integer, got 'x'"),
         ({"experiment": "verify-mixer", "instance": {"family": "offset"}},

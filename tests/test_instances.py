@@ -15,8 +15,11 @@ from mixerlab import (
     verify_instant_mixing,
     verify_no_cross_mixing,
 )
+from hypothesis import given, settings
+
 from mixerlab.errors import InvalidArgumentError
-from mixerlab.instances import graph_apply_permutation, subgroup_closure
+from mixerlab.instances import COSET_MAX_MODULUS, graph_apply_permutation, subgroup_closure
+from test_verify import partitions
 
 
 def test_offset_mixer_index_count():
@@ -177,3 +180,136 @@ def test_instance_from_config_rejects_unknown_fields():
         instance_from_config({"family": "coset", "modulus": 6, "generators": [2], "x": 1})
     with pytest.raises(InvalidArgumentError):
         instance_from_config({"family": "nope"})
+
+
+# -- reference families: each index decoded on every call ---------------------
+
+def _width(size):
+    return max(1, (size - 1).bit_length())
+
+
+def reference_offset(truth):
+    """The offset family's index list and maps, decoding each index per call."""
+    comps = [truth.component_elements(a) for a in range(1, truth.num_components + 1)]
+    sizes = [len(comp) for comp in comps]
+    widths = [_width(size) for size in sizes]
+    pos = {x: (a, p) for a, comp in enumerate(comps) for p, x in enumerate(comp)}
+
+    def encode(ks):
+        enc = 0
+        for k, w in zip(ks, widths):
+            enc = (enc << w) | k
+        return enc
+
+    def decode(enc):
+        ks = []
+        for w in reversed(widths):
+            ks.append(enc & ((1 << w) - 1))
+            enc >>= w
+        return tuple(reversed(ks))
+
+    def apply_fn(enc, x):
+        a, p = pos[x]
+        return comps[a][(p + decode(enc)[a]) % sizes[a]]
+
+    def inverse_fn(enc, x):
+        a, p = pos[x]
+        return comps[a][(p - decode(enc)[a]) % sizes[a]]
+
+    index_ints = [encode(ks) for ks in itertools.product(*(range(s) for s in sizes))]
+    return index_ints, apply_fn, inverse_fn
+
+
+def reference_graph_iso(v):
+    """The graph-iso family's index list, maps and orbit partition, decoding
+    and validating each index per call."""
+    n = v * (v - 1) // 2
+    w = _width(v)
+    perms = sorted(itertools.permutations(range(v)))
+
+    def encode(perm):
+        enc = 0
+        for image in perm:
+            enc = (enc << w) | image
+        return enc
+
+    def decode(enc):
+        fields = []
+        for _ in range(v):
+            fields.append(enc & ((1 << w) - 1))
+            enc >>= w
+        perm = tuple(reversed(fields))
+        return perm if sorted(perm) == list(range(v)) else None
+
+    def apply_fn(enc, x):
+        return graph_apply_permutation(decode(enc), x, v)
+
+    def inverse_fn(enc, x):
+        perm = decode(enc)
+        return graph_apply_permutation(tuple(perm.index(u) for u in range(v)), x, v)
+
+    component_of = {}
+    next_id = 1
+    for x in range(1 << n):
+        if x in component_of:
+            continue
+        for y in sorted({graph_apply_permutation(p, x, v) for p in perms}):
+            component_of[y] = next_id
+        next_id += 1
+    return [encode(p) for p in perms], apply_fn, inverse_fn, component_of
+
+
+def reference_coset_components(modulus, generators):
+    """The coset family's orbit partition, one coset of H at a time."""
+    hset = set(subgroup_closure(modulus, generators))
+    component_of = {}
+    next_id = 1
+    for x in range(modulus):
+        if x in component_of:
+            continue
+        for e in hset:
+            component_of[(x + e) % modulus] = next_id
+        next_id += 1
+    return component_of
+
+
+def assert_same_maps(oracle, index_ints, apply_fn, inverse_fn):
+    assert oracle.index_ints == tuple(index_ints)
+    for enc in index_ints:
+        for x in oracle.members:
+            assert oracle.apply_int(enc, x) == apply_fn(enc, x)
+            assert oracle.inverse_int(enc, x) == inverse_fn(enc, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(truth=partitions())
+def test_offset_lookup_matches_per_call_decoding(truth):
+    assert_same_maps(make_offset_mixer(truth), *reference_offset(truth))
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 5])
+def test_graph_iso_lookup_matches_per_call_decoding(v):
+    index_ints, apply_fn, inverse_fn, component_of = reference_graph_iso(v)
+    oracle, truth = make_graph_iso_mixer(v)
+    assert_same_maps(oracle, index_ints, apply_fn, inverse_fn)
+    assert truth.component_of == component_of
+
+
+@pytest.mark.parametrize(
+    "modulus, generators",
+    [(1, []), (1, [3]), (8, []), (8, [2]), (6, [4]), (12, [8, 3]), (16, [-6]), (260, [4, 10])],
+)
+def test_coset_orbits_match_the_per_coset_loop(modulus, generators):
+    oracle, truth = make_coset_mixer(modulus, generators)
+    assert_same_maps(
+        oracle, subgroup_closure(modulus, generators),
+        lambda enc, x: (x + enc) % modulus, lambda enc, x: (x - enc) % modulus,
+    )
+    assert truth.component_of == reference_coset_components(modulus, generators)
+
+
+@pytest.mark.parametrize("modulus", [0, -4, COSET_MAX_MODULUS + 1])
+def test_coset_modulus_is_capped_before_building(modulus):
+    message = f"coset modulus must be between 1 and {COSET_MAX_MODULUS}, got {modulus}"
+    with pytest.raises(InvalidArgumentError, match=message):
+        make_coset_mixer(modulus, [1])

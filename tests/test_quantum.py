@@ -52,6 +52,14 @@ def test_state_constructors():
         QuantumState((2,), np.array([1.0, 1.0]))  # not normalized
 
 
+@pytest.mark.parametrize(
+    "amp, normalize", [([np.nan, 0], False), ([np.nan, 1], True), ([np.inf, 0], True)],
+)
+def test_a_state_with_a_non_finite_norm_is_rejected(amp, normalize):
+    with pytest.raises(InvalidArgumentError, match="is not finite"):
+        QuantumState((2,), np.array(amp), normalize=normalize)
+
+
 def test_overlap_and_fidelity():
     a = QuantumState.uniform(4, [0, 1])
     b = QuantumState.uniform(4, [0, 1])
