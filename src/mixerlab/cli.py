@@ -34,7 +34,7 @@ from .errors import (
     PromiseViolationError,
     check_int,
 )
-from .instances import GROVER_MAX_N, instance_from_config
+from .instances import GROVER_MAX_N, GROVER_MAX_Q, instance_from_config
 from .protocols import (
     build_qma_witness,
     run_am_mbcp,
@@ -64,7 +64,7 @@ EXPERIMENTS = {
     }),
     "grover-embed": ("trials, seed", {
         "params.n": f"int, 1..{GROVER_MAX_N}",
-        "params.q": "int, at least 0",
+        "params.q": f"int, 0..{GROVER_MAX_Q}",
     }),
     "projector-demo": ("instance, trials, seed", {"params.s": "bit string"}),
     "qma": ("instance, trials, seed", {"params.k1": "component id", "params.k2": "component id"}),
@@ -100,7 +100,7 @@ def _load_config(path: str) -> dict:
     if not isinstance(config.get("output", ""), str):
         raise ConfigError(f"output must be a path string, got {config['output']!r}")
     name = config.get("experiment")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(
             f"experiment must be one of {sorted(EXPERIMENTS)}"
         )
@@ -178,7 +178,7 @@ def _run_experiment(config: dict):
     if name == "grover-embed":
         report = grover_embedding_query_experiment(
             n=_int_field(params, "params.n", low=1, high=GROVER_MAX_N),
-            q=_int_field(params, "params.q", low=0),
+            q=_int_field(params, "params.q", low=0, high=GROVER_MAX_Q),
             trials=trials, seed=seed,
         )
         return report.to_json_dict(), rows

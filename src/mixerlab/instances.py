@@ -26,9 +26,11 @@ from .errors import InvalidArgumentError, MalformedQueryError, check_int
 from .oracle import MixerOracle
 from .partition import GroundTruthPartition
 
-# make_grover_mixer and make_coset_mixer enumerate every member and index;
-# both caps allow at most 2^16 members
+# make_coset_mixer enumerates every member and index, and a grover ground
+# truth every member; both caps allow at most 2^16 members. GROVER_MAX_Q caps
+# the probes a grover-embed tester draws up front (2q values per trial).
 GROVER_MAX_N = 16
+GROVER_MAX_Q = 1 << 16
 COSET_MAX_MODULUS = 1 << 16
 
 
@@ -232,10 +234,6 @@ class PointFunction:
                 f"point {self.y} out of range for a {self.n}-bit point function"
             )
 
-    def peek(self, r: int) -> int:
-        """Unmetered evaluation for privileged construction code."""
-        return 1 if self.y is not None and r == self.y else 0
-
     def charge(self, evaluations: int = 1):
         """Charge two g queries for each of ``evaluations`` metered
         evaluations of a map gated by g. Two is the price of one coherent
@@ -259,15 +257,14 @@ def make_grover_mixer(n: int, g: PointFunction) -> MixerOracle:
         raise InvalidArgumentError(f"grover n must be between 1 and {GROVER_MAX_N}, got {n}")
     dim = 1 << n
 
+    # g(r) = 1 iff r == g.y; y is None (never equal) when g is all zeros
     def apply_fn(enc: int, x: int) -> int:
-        if g.peek(x) == 0 and g.peek((x + enc) % dim) == 0:
-            return (x + enc) % dim
-        return x
+        y, shifted = g.y, (x + enc) % dim
+        return x if y == x or y == shifted else shifted
 
     def inverse_fn(enc: int, x: int) -> int:
-        if g.peek(x) == 0 and g.peek((x - enc) % dim) == 0:
-            return (x - enc) % dim
-        return x
+        y, shifted = g.y, (x - enc) % dim
+        return x if y == x or y == shifted else shifted
 
     return MixerOracle(
         n=n,

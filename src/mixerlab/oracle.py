@@ -52,6 +52,11 @@ class MixerOracle:
     Members lie in [0, 2^n) and index encodings in [0, 2^index_width), so
     each is its own bit-string decoding. ``point`` is the point function
     that gates the maps, if any; sessions charge it per metered evaluation.
+
+    A step-1 ``range`` of members or index encodings is kept as it is: it is
+    already sorted, and ``in``, ``len`` and indexing on it are O(1), so an
+    oracle over whole ranges is built without enumerating them. Any other
+    collection is copied into a tuple and a frozenset.
     """
 
     def __init__(
@@ -67,11 +72,9 @@ class MixerOracle:
     ):
         self.n = n
         self.index_width = index_width
-        self.members = tuple(sorted(members))
-        self.index_ints = tuple(index_ints)
+        self.members, self._member_set = _sequence_and_set(sorted, members)
+        self.index_ints, self._index_set = _sequence_and_set(tuple, index_ints)
         self.name = name
-        self._member_set = frozenset(self.members)
-        self._index_set = frozenset(self.index_ints)
         self._apply_fn = apply_fn
         self._inverse_fn = inverse_fn
         self.point = point
@@ -136,6 +139,15 @@ class MixerOracle:
         return QuerySession(self, rng=rng, budget=budget)
 
 
+def _sequence_and_set(order, values):
+    """``values`` as an indexable sequence (``order(values)``) and a set to
+    test membership in; a step-1 range serves as both."""
+    if type(values) is range and values.step == 1:
+        return values, values
+    seq = tuple(order(values))
+    return seq, frozenset(seq)
+
+
 class QuerySession:
     """Metered handle to a mixer oracle.
 
@@ -145,9 +157,10 @@ class QuerySession:
     that passes its checks, and every controlled-mixer step the quantum
     engine charges here, also charges the oracle's point function.
 
-    ``apply``/``apply_inverse`` take a plain ``int`` that is already a valid
-    index (or member) as is, skipping the bit-string conversion: every index
-    and member fits its width, so the conversion would return it unchanged.
+    Every query method takes a plain ``int`` that is already a valid index
+    (or member) as is: one set test and, for an application, one call of
+    the map, skipping the bit-string conversion, since every index and
+    member fits its width and the conversion would return it unchanged.
     Every other argument (bit strings, ``MixerIndex``, bools, numpy
     integers, out-of-range or non-member ints) goes through the full
     conversion and checks, with the same errors in the same order. The query
@@ -175,7 +188,8 @@ class QuerySession:
 
     def test_membership_s(self, x) -> bool:
         self.charge("membership_S")
-        return as_int(x, self.oracle.n) in self.oracle._member_set
+        members = self.oracle._member_set
+        return (type(x) is int and x in members) or as_int(x, self.oracle.n) in members
 
     def sample_s(self):
         self.charge("sample_S")
@@ -184,7 +198,8 @@ class QuerySession:
 
     def test_membership_ind(self, i) -> bool:
         self.charge("membership_Ind")
-        return self._index_int(i) in self.oracle._index_set
+        indices = self.oracle._index_set
+        return (type(i) is int and i in indices) or self._index_int(i) in indices
 
     def sample_ind(self) -> MixerIndex:
         self.charge("sample_Ind")
@@ -200,15 +215,20 @@ class QuerySession:
     def _metered_apply(self, kind, fn, i, x):
         self.charge(kind)
         oracle = self.oracle
-        # an int already in the set is what the conversion would return
-        enc = i if type(i) is int and i in oracle._index_set else self._index_int(i)
-        xi = x if type(x) is int and x in oracle._member_set else as_int(x, oracle.n)
+        point = oracle.point
+        if (type(i) is int and type(x) is int
+                and i in oracle._index_set and x in oracle._member_set):
+            if point is not None:
+                point.charge()
+            return fn(i, x)
+        enc = self._index_int(i)
+        xi = as_int(x, oracle.n)
         if enc not in oracle._index_set:
             raise InvalidArgumentError(f"invalid index encoding {enc}")
         if xi not in oracle._member_set:
             raise InvalidArgumentError(f"{x!r} is not a member of S")
-        if oracle.point is not None:
-            oracle.point.charge()
+        if point is not None:
+            point.charge()
         out = fn(enc, xi)
         return to_bits(out, oracle.n) if isinstance(x, str) else out
 
@@ -243,7 +263,10 @@ class LabelOracle:
 
     def query(self, x):
         """Evaluation on a bit string or int, answered in the same type; the
-        metering is :meth:`LabelSession.query`'s."""
+        metering is :meth:`LabelSession.query`'s. A plain in-range ``int``
+        goes straight to the map."""
+        if type(x) is int and 0 <= x < 1 << self.width:
+            return self._fn(x)
         out = self._fn(as_int(x, self.width))
         return to_bits(out, self.label_width) if isinstance(x, str) else out
 

@@ -38,6 +38,8 @@ def test_list_experiments():
     assert names == sorted(names)
     counterfeit = next(line for line in proc.stdout.splitlines() if line.startswith("counterfeit"))
     assert "params.s" in counterfeit and "budgets.counterfeiter" in counterfeit
+    grover = next(line for line in proc.stdout.splitlines() if line.startswith("grover-embed"))
+    assert "params.q (int, 0..65536)" in grover
 
 
 def test_verify_mixer_run_and_report_shape(tmp_path):
@@ -301,6 +303,14 @@ def test_a_negative_seed_on_the_command_line_is_a_config_error(tmp_path):
     assert proc.stderr == "config error: seed must be at least 0, got -5\n"
 
 
+@pytest.mark.parametrize("experiment", [{"a": 1}, ["am"], 5, None])
+def test_an_experiment_that_is_not_a_name_is_a_config_error(tmp_path, experiment):
+    config = {"experiment": experiment, "seed": 1}
+    proc = run_cli("run", write_config(tmp_path, "c.json", config))
+    assert proc.returncode == 1
+    assert proc.stderr == f"config error: experiment must be one of {sorted(cli.EXPERIMENTS)}\n"
+
+
 def test_missing_subcommand_exits_1_and_help_exits_0():
     proc = run_cli()
     assert proc.returncode == 1 and proc.stderr.startswith("usage:")
@@ -364,7 +374,10 @@ COSET4 = {"family": "coset", "modulus": 4, "generators": [2]}
         ({"experiment": "grover-embed", "params": {"n": 17, "q": 2}},
          "params.n must be between 1 and 16, got 17"),
         ({"experiment": "grover-embed", "params": {"n": 4, "q": -1}},
-         "params.q must be at least 0, got -1"),
+         "params.q must be between 0 and 65536, got -1"),
+        # over the cap: rejected before any probe is drawn
+        ({"experiment": "grover-embed", "params": {"n": 4, "q": 65537}},
+         "params.q must be between 0 and 65536, got 65537"),
         ({"experiment": "verify-mixer", "instance": {"family": "graphiso", "v": "x"}},
          "family graphiso field 'v' must be an integer, got 'x'"),
         ({"experiment": "verify-mixer", "instance": {"family": "offset", "partition": 5}},

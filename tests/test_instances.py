@@ -134,6 +134,39 @@ def test_gated_shift_query_cost_is_two_per_application():
     assert g.queries == 4
 
 
+def reference_gated_shift(n, g):
+    """The gated shift's maps written with one point evaluation per read of
+    g, as a metered g would answer them."""
+    dim = 1 << n
+
+    def peek(r):
+        return 1 if g.y is not None and r == g.y else 0
+
+    def apply_fn(enc, x):
+        if peek(x) == 0 and peek((x + enc) % dim) == 0:
+            return (x + enc) % dim
+        return x
+
+    def inverse_fn(enc, x):
+        if peek(x) == 0 and peek((x - enc) % dim) == 0:
+            return (x - enc) % dim
+        return x
+
+    return apply_fn, inverse_fn
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gated_shift_matches_the_point_evaluation_closures(n):
+    dim = 1 << n
+    pairs = [(enc, x) for enc in range(dim) for x in range(dim)]
+    for y in [None, *range(dim)]:
+        g = PointFunction(n, y)
+        oracle = make_grover_mixer(n, g)
+        for fn, ref in zip((oracle._apply_fn, oracle._inverse_fn), reference_gated_shift(n, g)):
+            assert [fn(enc, x) for enc, x in pairs] == [ref(enc, x) for enc, x in pairs], y
+    assert g.queries == 0  # the maps themselves charge nothing
+
+
 def test_marked_partition_isolates_the_point():
     truth = make_grover_partition(2, 0b11)
     assert truth.num_components == 2

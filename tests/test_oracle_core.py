@@ -20,14 +20,16 @@ from mixerlab import (
 )
 from mixerlab.bits import as_int, to_bits
 from mixerlab.errors import InvalidArgumentError
+from mixerlab.instances import GROVER_MAX_N, instance_from_config
 from mixerlab.layered import hide_instance, make_layered_instance
-from mixerlab.oracle import QUERY_KINDS
+from mixerlab.oracle import QUERY_KINDS, MixerOracle
 from mixerlab.quantum import (
     QuantumState,
     apply_cm,
     component_projector_matrix,
     measure_component_projector,
 )
+from mixerlab.verify import sweep_mixer
 
 
 @pytest.fixture
@@ -163,20 +165,71 @@ def _outcome(call):
     return ("returned", type(out), out)
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-def test_metered_apply_fast_path_matches_reference(setup, inverse):
-    oracle, _ = setup
+def _offset_bundle():
+    truth = GroundTruthPartition.from_components(3, [[0, 1, 2], [3, 4]])
+    return instance_from_config({"family": "offset", "partition": truth.to_json_dict()})
+
+
+BALANCED2 = GroundTruthPartition.from_components(2, [[0, 1], [2, 3]]).to_json_dict()
+# instances whose members (and, for grover, indices) are whole ranges
+RANGE_BACKED = {
+    "grover-marked": {"family": "grover", "n": 3, "point": 5},
+    "grover-unmarked": {"family": "grover", "n": 3},
+    "coset-8": {"family": "coset", "modulus": 8, "generators": [2]},
+    "hidden-layered": {
+        "family": "layered", "base": {"family": "offset", "partition": BALANCED2},
+        "variant": "grover", "point": 1, "hide": True, "seed": 3,
+    },
+}
+
+
+def _fast_path_arguments(oracle):
+    """FAST_PATH_* plus the last valid index and member, a valid bit string
+    of each and the first int past each width, for this oracle's widths."""
+    enc, x = oracle.index_ints[1], oracle.members[1]
+    index_bits = to_bits(enc, oracle.index_width)
+    indices = [*FAST_PATH_INDICES, oracle.index_ints[-1], index_bits, MixerIndex(index_bits),
+               1 << oracle.index_width]
+    elements = [*FAST_PATH_ELEMENTS, oracle.members[-1], to_bits(x, oracle.n), 1 << oracle.n]
+    return indices, elements
+
+
+def _g_queries(bundle):
+    return None if bundle.point is None else bundle.point.queries
+
+
+def _assert_metered_apply_matches_reference(make_bundle, inverse, indices, elements):
+    """Each (i, x): the same outcome and query counts as the conversion path,
+    on two equal instances, so the point-function totals must agree too."""
     kind = "apply_inverse" if inverse else "apply"
-    for i in FAST_PATH_INDICES:
-        for x in FAST_PATH_ELEMENTS:
-            fast, ref = oracle.session(), oracle.session()
+    fast_bundle, ref_bundle = make_bundle(), make_bundle()
+    for i in indices:
+        for x in elements:
+            fast, ref = fast_bundle.oracle.session(), ref_bundle.oracle.session()
             apply = fast.apply_inverse if inverse else fast.apply
             got = _outcome(lambda: apply(i, x))
             assert got == _outcome(lambda: _reference_metered_apply(ref, kind, i, x)), (i, x)
             assert fast.queries == ref.queries and sum(fast.queries.values()) == 1
+            assert _g_queries(fast_bundle) == _g_queries(ref_bundle), (i, x)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_metered_apply_fast_path_matches_reference(setup, inverse):
+    oracle, _ = setup
+    _assert_metered_apply_matches_reference(
+        _offset_bundle, inverse, FAST_PATH_INDICES, FAST_PATH_ELEMENTS
+    )
     # int in, int out; str in, str out
     assert _outcome(lambda: oracle.session().apply(2, 3))[1] is int
     assert _outcome(lambda: oracle.session().apply(2, "011"))[1] is str
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("name", RANGE_BACKED)
+def test_metered_apply_fast_path_matches_reference_on_range_backed_oracles(name, inverse):
+    bundle = lambda: instance_from_config(RANGE_BACKED[name])  # noqa: E731
+    indices, elements = _fast_path_arguments(bundle().oracle)
+    _assert_metered_apply_matches_reference(bundle, inverse, indices, elements)
 
 
 def test_metered_apply_fast_path_charges_point_queries_like_reference():
@@ -188,14 +241,130 @@ def test_metered_apply_fast_path_charges_point_queries_like_reference():
     assert g_fast.queries == g_ref.queries == 128
 
 
-def test_budget_exhaustion_comes_before_argument_errors(setup):
-    oracle, _ = setup
-    for i in FAST_PATH_INDICES:
-        for x in FAST_PATH_ELEMENTS:
+def _assert_budget_comes_first(oracle, indices, elements):
+    for i in indices:
+        for x in elements:
             for name in ("apply", "apply_inverse"):
                 session = oracle.session(budget=0)
                 with pytest.raises(BudgetExhaustedError):
                     getattr(session, name)(i, x)
+            for name, arg in (("test_membership_s", x), ("test_membership_ind", i)):
+                with pytest.raises(BudgetExhaustedError):
+                    getattr(oracle.session(budget=0), name)(arg)
+
+
+def test_budget_exhaustion_comes_before_argument_errors(setup):
+    oracle, _ = setup
+    _assert_budget_comes_first(oracle, FAST_PATH_INDICES, FAST_PATH_ELEMENTS)
+
+
+@pytest.mark.parametrize("name", RANGE_BACKED)
+def test_budget_exhaustion_comes_first_on_range_backed_oracles(name):
+    bundle = instance_from_config(RANGE_BACKED[name])
+    _assert_budget_comes_first(bundle.oracle, *_fast_path_arguments(bundle.oracle))
+    assert _g_queries(bundle) in (None, 0)  # no evaluation was charged
+
+
+def _reference_membership(session, kind, v):
+    """QuerySession's membership tests without the int fast path."""
+    session.charge(kind)
+    if kind == "membership_S":
+        return as_int(v, session.oracle.n) in session.oracle._member_set
+    return session._index_int(v) in session.oracle._index_set
+
+
+def _reference_label_query(session, x):
+    """LabelSession.query without the int fast path: every argument goes
+    through the bit-string conversion."""
+    session.queries += 1
+    if session.budget is not None and session.queries > session.budget:
+        raise BudgetExhaustedError(f"label budget {session.budget} exhausted")
+    label = session.label
+    out = label._fn(as_int(x, label.width))
+    out = to_bits(out, label.label_width) if isinstance(x, str) else out
+    if label.point is not None:
+        label.point.charge()
+    return out
+
+
+@pytest.mark.parametrize("name", ["offset", *RANGE_BACKED])
+def test_membership_tests_match_reference(name):
+    bundle = _offset_bundle() if name == "offset" else instance_from_config(RANGE_BACKED[name])
+    indices, elements = _fast_path_arguments(bundle.oracle)
+    before = _g_queries(bundle)
+    for kind, method, args in (("membership_S", "test_membership_s", elements),
+                               ("membership_Ind", "test_membership_ind", indices)):
+        for v in args:
+            fast, ref = bundle.oracle.session(), bundle.oracle.session()
+            got = _outcome(lambda: getattr(fast, method)(v))
+            assert got == _outcome(lambda: _reference_membership(ref, kind, v)), (kind, v)
+            assert fast.queries == ref.queries and fast.queries[kind] == 1
+    assert _g_queries(bundle) == before  # membership tests evaluate no gated map
+
+
+LABELLED = {
+    "hidden-layered-grover": RANGE_BACKED["hidden-layered"],
+    "layered-row0-coset": {
+        "family": "layered", "base": RANGE_BACKED["coset-8"], "variant": "row0",
+    },
+}
+
+
+@pytest.mark.parametrize("name", LABELLED)
+def test_label_query_fast_path_matches_reference(name):
+    fast_bundle, ref_bundle = (instance_from_config(LABELLED[name]) for _ in range(2))
+    _, elements = _fast_path_arguments(fast_bundle.oracle)
+    for budget in (None, 0):
+        for x in elements:
+            fast = fast_bundle.layered.label2n.session(budget=budget)
+            ref = ref_bundle.layered.label2n.session(budget=budget)
+            got = _outcome(lambda: fast.query(x))
+            assert got == _outcome(lambda: _reference_label_query(ref, x)), (budget, x)
+            assert fast.queries == ref.queries == 1
+            assert _g_queries(fast_bundle) == _g_queries(ref_bundle), (budget, x)
+    assert _outcome(lambda: fast_bundle.layered.label2n.session().query(3))[1] is int
+
+
+def _tuple_backed_copy(oracle):
+    return MixerOracle(
+        oracle.n, oracle.index_width, tuple(oracle.members), tuple(oracle.index_ints),
+        oracle._apply_fn, oracle._inverse_fn, name=oracle.name, point=oracle.point,
+    )
+
+
+def _tables_or_error(oracle):
+    try:
+        return [table.tolist() for table in oracle.permutation_tables()]
+    except InvalidArgumentError as exc:  # a marked gated shift is no bijection
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", RANGE_BACKED)
+def test_range_backed_oracle_matches_a_tuple_backed_copy(name):
+    bundle = instance_from_config(RANGE_BACKED[name])
+    oracle, truth = bundle.oracle, bundle.truth
+    copy = _tuple_backed_copy(oracle)
+    assert type(oracle.members) is range and type(copy.members) is tuple
+    assert list(oracle.members) == list(copy.members)
+    assert list(oracle.index_ints) == list(copy.index_ints)
+    ours, theirs = (o.session(rng=np.random.default_rng(11)) for o in (oracle, copy))
+    assert [ours.sample_s() for _ in range(64)] == [theirs.sample_s() for _ in range(64)]
+    assert [ours.sample_ind() for _ in range(64)] == [theirs.sample_ind() for _ in range(64)]
+    assert _tables_or_error(oracle) == _tables_or_error(copy)
+    assert sweep_mixer(oracle, truth) == sweep_mixer(copy, truth)
+
+
+def test_a_step_one_range_is_kept_as_is():
+    members, indices = range(1 << 16), range(1 << 16)
+    identity = lambda enc, x: x  # noqa: E731
+    oracle = MixerOracle(16, 16, members, indices, identity, identity)
+    assert oracle.members is members and oracle._member_set is members
+    assert oracle.index_ints is indices and oracle._index_set is indices
+    # any other range is enumerated: sorted for members, in order for indices
+    stepped = MixerOracle(3, 3, range(6, -1, -2), range(6, -1, -2), identity, identity)
+    assert stepped.members == (0, 2, 4, 6) and stepped.index_ints == (6, 4, 2, 0)
+    grover = make_grover_mixer(GROVER_MAX_N, PointFunction(GROVER_MAX_N))
+    assert grover.members == grover.index_ints == range(1 << GROVER_MAX_N)
 
 
 def test_every_family_keeps_indices_and_members_inside_their_width():
