@@ -157,10 +157,10 @@ class QuerySession:
     that passes its checks, and every controlled-mixer step the quantum
     engine charges here, also charges the oracle's point function.
 
-    Every query method takes a plain ``int`` that is already a valid index
-    (or member) as is: one set test and, for an application, one call of
-    the map, skipping the bit-string conversion, since every index and
-    member fits its width and the conversion would return it unchanged.
+    ``apply``/``apply_inverse`` take a plain ``int`` that is already a valid
+    index (or member) as is: one set test each and one call of the map,
+    skipping the bit-string conversion, since every index and member fits
+    its width and the conversion would return it unchanged.
     Every other argument (bit strings, ``MixerIndex``, bools, numpy
     integers, out-of-range or non-member ints) goes through the full
     conversion and checks, with the same errors in the same order. The query
@@ -188,8 +188,7 @@ class QuerySession:
 
     def test_membership_s(self, x) -> bool:
         self.charge("membership_S")
-        members = self.oracle._member_set
-        return (type(x) is int and x in members) or as_int(x, self.oracle.n) in members
+        return as_int(x, self.oracle.n) in self.oracle._member_set
 
     def sample_s(self):
         self.charge("sample_S")
@@ -198,8 +197,7 @@ class QuerySession:
 
     def test_membership_ind(self, i) -> bool:
         self.charge("membership_Ind")
-        indices = self.oracle._index_set
-        return (type(i) is int and i in indices) or self._index_int(i) in indices
+        return self._index_int(i) in self.oracle._index_set
 
     def sample_ind(self) -> MixerIndex:
         self.charge("sample_Ind")
@@ -263,10 +261,7 @@ class LabelOracle:
 
     def query(self, x):
         """Evaluation on a bit string or int, answered in the same type; the
-        metering is :meth:`LabelSession.query`'s. A plain in-range ``int``
-        goes straight to the map."""
-        if type(x) is int and 0 <= x < 1 << self.width:
-            return self._fn(x)
+        metering is :meth:`LabelSession.query`'s."""
         out = self._fn(as_int(x, self.width))
         return to_bits(out, self.label_width) if isinstance(x, str) else out
 

@@ -5,9 +5,11 @@ to the terminal (bypassing pytest capture), and enforces its runtime cap.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +316,10 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         },
         "grover-embed": {"trials": 50, "params": {"n": 6, "q": 4}},
     }
+    # the CLI subprocesses import mixerlab from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     ok = True
     mismatches = []
     for name, extra in configs.items():
@@ -328,6 +334,7 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
                  "--output", str(out)],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             if proc.returncode != 0:
                 ok = False

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +10,17 @@ from mixerlab import GroundTruthPartition, cli
 
 PARTITION = GroundTruthPartition.from_components(3, [[0, 1, 2], [3, 4]]).to_json_dict()
 BALANCED = GroundTruthPartition.from_components(2, [[0, 1], [2, 3]]).to_json_dict()
+# the CLI subprocesses import mixerlab from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "mixerlab.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
 

@@ -265,66 +265,6 @@ def test_budget_exhaustion_comes_first_on_range_backed_oracles(name):
     assert _g_queries(bundle) in (None, 0)  # no evaluation was charged
 
 
-def _reference_membership(session, kind, v):
-    """QuerySession's membership tests without the int fast path."""
-    session.charge(kind)
-    if kind == "membership_S":
-        return as_int(v, session.oracle.n) in session.oracle._member_set
-    return session._index_int(v) in session.oracle._index_set
-
-
-def _reference_label_query(session, x):
-    """LabelSession.query without the int fast path: every argument goes
-    through the bit-string conversion."""
-    session.queries += 1
-    if session.budget is not None and session.queries > session.budget:
-        raise BudgetExhaustedError(f"label budget {session.budget} exhausted")
-    label = session.label
-    out = label._fn(as_int(x, label.width))
-    out = to_bits(out, label.label_width) if isinstance(x, str) else out
-    if label.point is not None:
-        label.point.charge()
-    return out
-
-
-@pytest.mark.parametrize("name", ["offset", *RANGE_BACKED])
-def test_membership_tests_match_reference(name):
-    bundle = _offset_bundle() if name == "offset" else instance_from_config(RANGE_BACKED[name])
-    indices, elements = _fast_path_arguments(bundle.oracle)
-    before = _g_queries(bundle)
-    for kind, method, args in (("membership_S", "test_membership_s", elements),
-                               ("membership_Ind", "test_membership_ind", indices)):
-        for v in args:
-            fast, ref = bundle.oracle.session(), bundle.oracle.session()
-            got = _outcome(lambda: getattr(fast, method)(v))
-            assert got == _outcome(lambda: _reference_membership(ref, kind, v)), (kind, v)
-            assert fast.queries == ref.queries and fast.queries[kind] == 1
-    assert _g_queries(bundle) == before  # membership tests evaluate no gated map
-
-
-LABELLED = {
-    "hidden-layered-grover": RANGE_BACKED["hidden-layered"],
-    "layered-row0-coset": {
-        "family": "layered", "base": RANGE_BACKED["coset-8"], "variant": "row0",
-    },
-}
-
-
-@pytest.mark.parametrize("name", LABELLED)
-def test_label_query_fast_path_matches_reference(name):
-    fast_bundle, ref_bundle = (instance_from_config(LABELLED[name]) for _ in range(2))
-    _, elements = _fast_path_arguments(fast_bundle.oracle)
-    for budget in (None, 0):
-        for x in elements:
-            fast = fast_bundle.layered.label2n.session(budget=budget)
-            ref = ref_bundle.layered.label2n.session(budget=budget)
-            got = _outcome(lambda: fast.query(x))
-            assert got == _outcome(lambda: _reference_label_query(ref, x)), (budget, x)
-            assert fast.queries == ref.queries == 1
-            assert _g_queries(fast_bundle) == _g_queries(ref_bundle), (budget, x)
-    assert _outcome(lambda: fast_bundle.layered.label2n.session().query(3))[1] is int
-
-
 def _tuple_backed_copy(oracle):
     return MixerOracle(
         oracle.n, oracle.index_width, tuple(oracle.members), tuple(oracle.index_ints),
