@@ -163,8 +163,9 @@ def _rate_payload(est, extra: dict | None = None) -> dict:
     return payload
 
 
-def _rows(outcomes, column: str, value) -> list[dict]:
-    return [{"trial": t, column: value(o)} for t, o in enumerate(outcomes)]
+def _rows(outcomes, column: str, value):
+    """The per-trial CSV rows, built only if they are read (``--csv``)."""
+    return ({"trial": t, column: value(o)} for t, o in enumerate(outcomes))
 
 
 def _run_experiment(config: dict):
@@ -327,7 +328,8 @@ def run_command(args) -> int:
     files = []
     if output:
         files.append((output, json.dumps(report, indent=2, sort_keys=True) + "\n", None))
-    if args.csv and rows:
+    rows = list(rows) if args.csv else []
+    if rows:
         table = io.StringIO()
         writer = csv.DictWriter(table, fieldnames=list(rows[0]))
         writer.writeheader()

@@ -26,7 +26,7 @@ from .layered import LayeredInstance, apply_hiding, hide_instance, make_layered_
 from .oracle import LabelSession, MixerOracle, QuerySession
 from .partition import GroundTruthPartition
 from .protocols import EstimatedProbability
-from .quantum import DensityMatrix, QuantumState, trace_distance
+from .quantum import STATE_DIM_CAP, DensityMatrix, QuantumState, trace_distance
 from .trials import run_seeded_trials, trial_rng
 
 
@@ -181,10 +181,16 @@ def distinguishing_experiment(
     Each trial draws fresh hiding permutations from its own seeded stream and
     uses the same pair for both regimes (common random numbers: both
     marginals stay exact, only the estimation error is correlated). The
-    point row is drawn uniformly at random per trial.
+    point row is drawn uniformly at random per trial. The two d x d density
+    sums (d = 4^n) must fit ``STATE_DIM_CAP``, which holds for n <= 5.
     """
     n = base_truth.n
     d2 = 1 << (2 * n)
+    if 2 * d2 * d2 > STATE_DIM_CAP:
+        raise InvalidArgumentError(
+            f"counterfeit density sums of {2 * d2 * d2} entries (a {n}-bit base) "
+            f"exceed the cap {STATE_DIM_CAP}"
+        )
     # one density sum per arm, accumulated trial by trial
     acc = np.zeros((2, d2, d2), dtype=complex)
 
@@ -312,8 +318,9 @@ def fixed_point_probe_tester(session: QuerySession, n: int, q: int, rng) -> str:
     """
     dim = 1 << n
     probes = rng.integers(np.tile((0, 1), q), dim).reshape(q, 2).tolist()
+    apply = session.apply
     for x, i in probes:
-        if session.apply(i, x) == x:
+        if apply(i, x) == x:
             return "multiple"
     return "single"
 

@@ -56,7 +56,9 @@ class MixerOracle:
     A step-1 ``range`` of members or index encodings is kept as it is: it is
     already sorted, and ``in``, ``len`` and indexing on it are O(1), so an
     oracle over whole ranges is built without enumerating them. Any other
-    collection is copied into a tuple and a frozenset.
+    collection is copied into a tuple and a frozenset. A metered int query
+    tests a kept range by its bounds, ``start <= v < stop``, and any other
+    collection by its frozenset.
     """
 
     def __init__(
@@ -74,6 +76,8 @@ class MixerOracle:
         self.index_width = index_width
         self.members, self._member_set = _sequence_and_set(sorted, members)
         self.index_ints, self._index_set = _sequence_and_set(tuple, index_ints)
+        # how a metered query tests an int index, then an int member
+        self._int_tests = (*_int_test(self._index_set), *_int_test(self._member_set))
         self.name = name
         self._apply_fn = apply_fn
         self._inverse_fn = inverse_fn
@@ -148,6 +152,57 @@ def _sequence_and_set(order, values):
     return seq, frozenset(seq)
 
 
+def _int_test(values):
+    """How a metered query tests an int against ``values``, the oracle's set
+    of members or index encodings: ``(start, stop, None)`` for a step-1
+    range, which holds exactly the ints in [start, stop), else
+    ``(0, 0, values)`` for a frozenset, tested by ``in``."""
+    if type(values) is range:
+        return values.start, values.stop, None
+    return 0, 0, values
+
+
+def _metered_apply(kind: str, fn_name: str):
+    """``QuerySession.apply`` or ``apply_inverse`` (``kind``), running the
+    oracle's map ``fn_name``.
+
+    The query is charged first, so an exhausted budget is reported before a
+    bad argument. A plain ``int`` pair that is a valid index and member is
+    passed to the map as is (:func:`_int_test`), since each fits its width
+    and the bit-string conversion would return it unchanged. Every other
+    argument (bit strings, ``MixerIndex``, bools, numpy integers,
+    out-of-range or non-member ints) goes through the conversion and its
+    checks, and a bit-string element is answered as a bit string.
+    """
+    def metered(self, i, x):
+        self.queries[kind] += 1
+        if self.budget is not None:
+            self._check_budget()
+        oracle = self.oracle
+        ilo, ihi, iset, xlo, xhi, xset = oracle._int_tests
+        if (type(i) is int and type(x) is int
+                and (ilo <= i < ihi if iset is None else i in iset)
+                and (xlo <= x < xhi if xset is None else x in xset)):
+            point = oracle.point
+            if point is not None:
+                point.queries += 2  # PointFunction.charge(), inlined
+            return getattr(oracle, fn_name)(i, x)
+        enc = self._index_int(i)
+        xi = as_int(x, oracle.n)
+        if enc not in oracle._index_set:
+            raise InvalidArgumentError(f"invalid index encoding {enc}")
+        if xi not in oracle._member_set:
+            raise InvalidArgumentError(f"{x!r} is not a member of S")
+        if oracle.point is not None:
+            oracle.point.charge()
+        out = getattr(oracle, fn_name)(enc, xi)
+        return to_bits(out, oracle.n) if isinstance(x, str) else out
+
+    metered.__name__ = kind
+    metered.__qualname__ = f"QuerySession.{kind}"
+    return metered
+
+
 class QuerySession:
     """Metered handle to a mixer oracle.
 
@@ -157,15 +212,9 @@ class QuerySession:
     that passes its checks, and every controlled-mixer step the quantum
     engine charges here, also charges the oracle's point function.
 
-    ``apply``/``apply_inverse`` take a plain ``int`` that is already a valid
-    index (or member) as is: one set test each and one call of the map,
-    skipping the bit-string conversion, since every index and member fits
-    its width and the conversion would return it unchanged.
-    Every other argument (bit strings, ``MixerIndex``, bools, numpy
-    integers, out-of-range or non-member ints) goes through the full
-    conversion and checks, with the same errors in the same order. The query
-    is charged first either way, so an exhausted budget is reported before a
-    bad argument.
+    ``apply``/``apply_inverse`` share one implementation,
+    :func:`_metered_apply`, which charges inline and passes a valid plain
+    ``int`` pair to the map after one bounds or set test each.
     """
 
     def __init__(self, oracle: MixerOracle, rng=None, budget=None):
@@ -176,7 +225,11 @@ class QuerySession:
 
     def charge(self, kind: str, count: int = 1):
         self.queries[kind] += count
-        if self.budget is not None and sum(self.queries.values()) > self.budget:
+        if self.budget is not None:
+            self._check_budget()
+
+    def _check_budget(self):
+        if sum(self.queries.values()) > self.budget:
             raise BudgetExhaustedError(f"query budget {self.budget} exhausted")
 
     def _index_int(self, i) -> int:
@@ -204,31 +257,8 @@ class QuerySession:
         enc = self.oracle.index_ints[self.rng.integers(len(self.oracle.index_ints))]
         return MixerIndex(to_bits(enc, self.oracle.index_width))
 
-    def apply(self, i, x):
-        return self._metered_apply("apply", self.oracle._apply_fn, i, x)
-
-    def apply_inverse(self, i, x):
-        return self._metered_apply("apply_inverse", self.oracle._inverse_fn, i, x)
-
-    def _metered_apply(self, kind, fn, i, x):
-        self.charge(kind)
-        oracle = self.oracle
-        point = oracle.point
-        if (type(i) is int and type(x) is int
-                and i in oracle._index_set and x in oracle._member_set):
-            if point is not None:
-                point.charge()
-            return fn(i, x)
-        enc = self._index_int(i)
-        xi = as_int(x, oracle.n)
-        if enc not in oracle._index_set:
-            raise InvalidArgumentError(f"invalid index encoding {enc}")
-        if xi not in oracle._member_set:
-            raise InvalidArgumentError(f"{x!r} is not a member of S")
-        if point is not None:
-            point.charge()
-        out = fn(enc, xi)
-        return to_bits(out, oracle.n) if isinstance(x, str) else out
+    apply = _metered_apply("apply", "_apply_fn")
+    apply_inverse = _metered_apply("apply_inverse", "_inverse_fn")
 
 
 class LabelOracle:

@@ -21,6 +21,9 @@ from .trials import run_seeded_trials
 from .verify import tv_distance
 
 ARTHUR_QUERIES_PER_AM_TRIAL = 4  # two samples, one index draw, one apply
+# sd_reduction_mbcp walks |S|^2 |Ind|^2 tuples: 2.36M on graphiso v=4, but
+# 1.5e10 on v=5, which would not finish
+SD_MBCP_MAX_TUPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -283,10 +286,16 @@ def sd_reduction_scp(
 
 def sd_reduction_mbcp(oracle: MixerOracle, truth: GroundTruthPartition) -> float:
     """TV distance between (a, M_I(a), b, M_J(b)) and four independent
-    uniform samples from S, exact by enumeration."""
+    uniform samples from S, exact by enumeration of all |S|^2 |Ind|^2
+    tuples, at most ``SD_MBCP_MAX_TUPLES`` of them."""
     _require_mbcp_promise(truth)
     members = truth.members
     k = len(oracle.index_ints)
+    tuples = len(members) ** 2 * k * k
+    if tuples > SD_MBCP_MAX_TUPLES:
+        raise InvalidArgumentError(
+            f"sd-mbcp enumeration of {tuples} tuples exceeds the cap {SD_MBCP_MAX_TUPLES}"
+        )
     images = {
         x: [oracle.apply_int(enc, x) for enc in oracle.index_ints] for x in members
     }

@@ -241,6 +241,19 @@ def test_a_failed_write_leaves_no_report(tmp_path, monkeypatch, capsys, lost):
     assert not report.exists() and not rows.exists()
 
 
+@pytest.mark.parametrize("experiment", ["am", "coam"])
+def test_trial_rows_are_built_only_for_csv(tmp_path, monkeypatch, experiment):
+    rows = cli._rows
+
+    def unbuilt(trial_outcome):
+        pytest.fail("a trial row was built without --csv")
+
+    monkeypatch.setattr(cli, "_rows", lambda outcomes, column, value: rows(outcomes, column, unbuilt))
+    config = {**COAM, "experiment": experiment, "output": str(tmp_path / "r.json")}
+    assert cli.main(["run", write_config(tmp_path, "c.json", config)]) == 0
+    assert (tmp_path / "r.json").exists()
+
+
 def test_invalid_json_is_a_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -404,6 +417,18 @@ COSET4 = {"family": "coset", "modulus": 4, "generators": [2]}
          "params.scan_count must be at least 0, got -5"),
         ({"experiment": "counterfeit", "instance": COSET4, "budgets": {"counterfeiter": -1}},
          "budgets.counterfeiter must be at least 0, got -1"),
+        # over the cap: rejected before the density sums are allocated (this
+        # 10-bit base once asked numpy for 32 TiB)
+        ({"experiment": "counterfeit",
+          "instance": {"family": "coset", "modulus": 1024, "generators": [512]}},
+         "counterfeit density sums of 2199023255552 entries (a 10-bit base) "
+         "exceed the cap 4194304"),
+        ({"experiment": "counterfeit",
+          "instance": {"family": "coset", "modulus": 64, "generators": [32]}},
+         "counterfeit density sums of 33554432 entries (a 6-bit base) exceed the cap 4194304"),
+        # over the cap: rejected before the 1.5e10-tuple walk
+        ({"experiment": "sd-mbcp", "instance": {"family": "graphiso", "v": 5}},
+         "sd-mbcp enumeration of 15099494400 tuples exceeds the cap 4194304"),
         ({"experiment": "verify-mixer", "instance": COSET4, "output": [1]},
          "output must be a path string, got [1]"),
         ({"experiment": "verify-mixer", "instance": COSET4, "output": 1},

@@ -19,6 +19,7 @@ from mixerlab.counterfeit import (
     scanning_detection_probability,
     solve_component_superposition_via_counterfeiter,
 )
+from mixerlab.errors import InvalidArgumentError
 from mixerlab.layered import hide_instance, make_layered_instance
 
 
@@ -74,6 +75,19 @@ def test_reference_counterfeiter_cannot_distinguish_point_function(base):
     )
     assert report.distance <= 1e-9
     assert report.detections_zero == 0 and report.detections_point == 0
+
+
+def test_density_sums_are_capped_before_allocation():
+    # a 5-bit base (two d x d sums, d = 4^5) fits STATE_DIM_CAP; a 6-bit one
+    # is refused before any trial runs
+    five = GroundTruthPartition.from_components(5, [list(range(16)), list(range(16, 32))])
+    report = distinguishing_experiment(
+        make_offset_mixer(five), five, 0, ReferenceCounterfeiter, 1, 0
+    )
+    assert report.distance == 0.0 and report.trials == 1
+    six = GroundTruthPartition.from_components(6, [list(range(32)), list(range(32, 64))])
+    with pytest.raises(InvalidArgumentError, match="33554432 entries .* exceed the cap"):
+        distinguishing_experiment(make_offset_mixer(six), six, 0, ReferenceCounterfeiter, 1, 0)
 
 
 def test_scanning_foil_distinguishes_point_function(base):

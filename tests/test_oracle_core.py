@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -185,13 +187,22 @@ RANGE_BACKED = {
 
 def _fast_path_arguments(oracle):
     """FAST_PATH_* plus the last valid index and member, a valid bit string
-    of each and the first int past each width, for this oracle's widths."""
+    of each, the first int past each width, and the ints around the ends of
+    the oracle's indices and members, for this oracle's widths."""
     enc, x = oracle.index_ints[1], oracle.members[1]
     index_bits = to_bits(enc, oracle.index_width)
     indices = [*FAST_PATH_INDICES, oracle.index_ints[-1], index_bits, MixerIndex(index_bits),
-               1 << oracle.index_width]
-    elements = [*FAST_PATH_ELEMENTS, oracle.members[-1], to_bits(x, oracle.n), 1 << oracle.n]
+               1 << oracle.index_width, *_edge_ints(oracle.index_ints)]
+    elements = [*FAST_PATH_ELEMENTS, oracle.members[-1], to_bits(x, oracle.n), 1 << oracle.n,
+                *_edge_ints(oracle.members)]
     return indices, elements
+
+
+def _edge_ints(values):
+    """Ints around the ends of a collection of ints: below, at and just past
+    each end, and negatives."""
+    lo, hi = (values.start, values.stop) if type(values) is range else (min(values), max(values) + 1)
+    return sorted({-hi - 1, -1, 0, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1})
 
 
 def _g_queries(bundle):
@@ -232,13 +243,76 @@ def test_metered_apply_fast_path_matches_reference_on_range_backed_oracles(name,
     _assert_metered_apply_matches_reference(bundle, inverse, indices, elements)
 
 
-def test_metered_apply_fast_path_charges_point_queries_like_reference():
+@pytest.mark.parametrize("kind", ["apply", "apply_inverse"])
+def test_metered_apply_fast_path_charges_point_queries_like_reference(kind):
     g_fast, g_ref = PointFunction(3, 5), PointFunction(3, 5)
     fast, ref = make_grover_mixer(3, g_fast).session(), make_grover_mixer(3, g_ref).session()
     for i in range(8):
         for x in range(8):
-            assert fast.apply(i, x) == _reference_metered_apply(ref, "apply", i, x)
+            assert getattr(fast, kind)(i, x) == _reference_metered_apply(ref, kind, i, x)
+    assert fast.queries == ref.queries and fast.queries[kind] == 64
     assert g_fast.queries == g_ref.queries == 128
+
+
+def _offset_range_bundle(members, indices):
+    """An oracle over step-1 ranges that need not start at 0: index ``enc``
+    shifts the members cyclically by ``enc``; gated by a marked point so the
+    point-function totals are compared too."""
+    size = max(len(members), 1)
+
+    def shift(sign):
+        return lambda enc, x: members.start + (x - members.start + sign * enc) % size
+
+    point = PointFunction(4, 5)
+    oracle = MixerOracle(4, 4, members, indices, shift(1), shift(-1), point=point)
+    return SimpleNamespace(oracle=oracle, point=point)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("members, indices", [
+    (range(3, 11), range(2, 7)),
+    (range(5, 16), range(1, 16)),
+    (range(5, 5), range(2, 7)),  # no members
+    (range(3, 11), range(4, 4)),  # no indices
+])
+def test_metered_apply_matches_reference_on_ranges_not_at_zero(members, indices, inverse):
+    bundle = lambda: _offset_range_bundle(members, indices)  # noqa: E731
+    oracle = bundle().oracle
+    assert oracle.members is members and oracle.index_ints is indices
+    index_args, member_args = _edge_ints(indices), _edge_ints(members)
+    index_args += [to_bits(i, 4) for i in index_args if 0 <= i < 16] + [True, np.int64(3)]
+    member_args += [to_bits(x, 4) for x in member_args if 0 <= x < 16] + [True, np.int64(6)]
+    _assert_metered_apply_matches_reference(bundle, inverse, index_args, member_args)
+
+
+@pytest.mark.parametrize("name", RANGE_BACKED)
+def test_budget_runs_out_partway_like_reference(name):
+    """A budget above 0 runs out in the middle of a sequence of applies, on
+    the fast path and the conversion path alike: every call before the last
+    returns (or raises an argument error) as the reference does, the call
+    past the budget raises, and the counts agree at each step."""
+    budget = 9
+    fast_bundle, ref_bundle = (instance_from_config(RANGE_BACKED[name]) for _ in range(2))
+    fast, ref = (b.oracle.session(budget=budget) for b in (fast_bundle, ref_bundle))
+    oracle = fast_bundle.oracle
+    enc, x = oracle.index_ints[-1], oracle.members[-1]
+    calls = [
+        ("apply", enc, x), ("apply_inverse", enc, x), ("apply", enc, to_bits(x, oracle.n)),
+        ("apply", enc, 1 << oracle.n), ("apply_inverse", -1, x), ("membership", None, x),
+    ] * 3
+    for step, (kind, i, y) in enumerate(calls):
+        if kind == "membership":
+            got, want = (_outcome(lambda s=s: s.test_membership_s(y)) for s in (fast, ref))
+        else:
+            got = _outcome(lambda: getattr(fast, kind)(i, y))
+            want = _outcome(lambda: _reference_metered_apply(ref, kind, i, y))
+        assert got == want, step
+        assert fast.queries == ref.queries, step
+        assert _g_queries(fast_bundle) == _g_queries(ref_bundle), step
+        if got[1] is BudgetExhaustedError:
+            break
+    assert step == budget and sum(fast.queries.values()) == budget + 1
+    assert _g_queries(fast_bundle) in (None, 2 * 6)  # six valid applies were evaluated
 
 
 def _assert_budget_comes_first(oracle, indices, elements):
