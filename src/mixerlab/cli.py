@@ -46,6 +46,7 @@ from .protocols import (
 )
 from .quantum import QuantumState
 from .bits import as_int
+from .trials import MAX_TRIALS
 from .verify import instant_mixing_bound, sweep_mixer
 
 SCHEMA_VERSION = 1
@@ -171,7 +172,7 @@ def _rows(outcomes, column: str, value):
 def _run_experiment(config: dict):
     name = config["experiment"]
     seed = _int_field(config, "seed", low=0)
-    trials = _int_field(config, "trials", 1000, low=1)
+    trials = _int_field(config, "trials", 1000, low=1, high=MAX_TRIALS)
     params = dict(config.get("params", {}))
     budgets = dict(config.get("budgets", {}))
     rows = []

@@ -37,6 +37,27 @@ STATE_DIM_CAP = 1 << 22
 ALPHA_VALUES = (-1, 0, 1)  # basis order of the control register
 
 
+# The engine's arrays are small, so numpy's Python-level wrappers would cost
+# as much as the arithmetic. These two helpers do what the wrappers do on the
+# arrays the engine passes them, step for step, so results match bit for bit.
+
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` for a complex array: the same ravel, dots and
+    square root, so the same float."""
+    a = a.ravel(order="K")
+    re, im = a.real, a.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _move_axis(a: np.ndarray, source: int, destination: int) -> np.ndarray:
+    """``np.moveaxis(a, source, destination)`` for one in-range axis: the
+    same transposed view."""
+    order = list(range(a.ndim))
+    del order[source]
+    order.insert(destination % a.ndim, source % a.ndim)
+    return a.transpose(order)
+
+
 class QuantumState:
     """A unit-norm complex amplitude tensor over declared registers."""
 
@@ -47,7 +68,7 @@ class QuantumState:
         amp = np.asarray(amp, dtype=complex).reshape(dims)
         if amp.size > STATE_DIM_CAP:
             raise InvalidArgumentError(f"state dimension {amp.size} exceeds cap")
-        norm = np.linalg.norm(amp)
+        norm = _norm(amp)
         if not math.isfinite(norm):
             raise InvalidArgumentError(f"state norm {norm} is not finite")
         if normalize:
@@ -67,9 +88,13 @@ class QuantumState:
 
     @classmethod
     def uniform(cls, dim: int, support) -> "QuantumState":
-        amp = np.zeros(dim, dtype=complex)
         support = list(support)
-        amp[support] = 1.0 / np.sqrt(len(support))
+        if not support:
+            raise InvalidArgumentError("a uniform state needs a non-empty support")
+        if len(set(support)) != len(support):
+            raise InvalidArgumentError("a uniform state's support has repeated elements")
+        amp = np.zeros(dim, dtype=complex)
+        amp[support] = 1.0 / math.sqrt(len(support))
         return cls((dim,), amp)
 
     def tensor(self, other: "QuantumState") -> "QuantumState":
@@ -80,7 +105,7 @@ class QuantumState:
         return complex(np.vdot(self.amp, other.amp))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
+        return _norm(self.amp)
 
     def density(self) -> "DensityMatrix":
         v = self.amp.reshape(-1)
@@ -160,7 +185,7 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 
 def _uniform_s_vector(oracle: MixerOracle) -> np.ndarray:
     v = np.zeros(1 << oracle.n, dtype=complex)
-    v[list(oracle.members)] = 1.0 / np.sqrt(len(oracle.members))
+    v[list(oracle.members)] = 1.0 / math.sqrt(len(oracle.members))
     return v
 
 
@@ -171,16 +196,16 @@ def prepare_uniform_s(oracle: MixerOracle, session: QuerySession | None = None):
 
 
 def _project_onto_vector(state: QuantumState, vec: np.ndarray, axis: int, rng):
-    amp = np.moveaxis(state.amp, axis, -1)
+    amp = _move_axis(state.amp, axis, -1)
     comp = amp @ vec.conj()
     p1 = float(np.vdot(comp, comp).real)
     outcome = 1 if rng.random() < p1 else 0
     inside = comp[..., None] * vec
     post = inside if outcome == 1 else amp - inside
-    norm = np.linalg.norm(post)
+    norm = _norm(post)
     if norm == 0:
         raise InvalidArgumentError("measurement collapsed to the zero vector")
-    post = np.moveaxis(post / norm, -1, axis)
+    post = _move_axis(post / norm, -1, axis)
     return outcome, QuantumState(state.dims, post)
 
 
@@ -288,40 +313,40 @@ def measure_component_projector(
         if oracle.point is not None:
             oracle.point.charge(2)
 
-    amp = np.moveaxis(state.amp, axis, -1)
+    amp = _move_axis(state.amp, axis, -1)
     rest_shape = amp.shape[:-1]
     amp = amp.reshape(-1, da)
-    root_k = np.sqrt(k)
+    root_k = math.sqrt(k)
 
     # steps 1-2: adjoin B = |e0> and C = |0>, then apply
     # U = sum_j Mtilde_j (x) |j><j|. numpy divides a complex array by a real
     # scalar by multiplying with its reciprocal: this rounds as ``/ root_k``.
-    w0 = np.take(amp, inv, axis=1) * (1 / root_k)  # flag 0, (r, k, 2^n)
+    w0 = amp.take(inv, axis=1) * (1 / root_k)  # flag 0, (r, k, 2^n)
 
     # step 3: flip C on the |e0> component of B; the flip moves it to flag 1
     e0_part = w0.sum(axis=1) / root_k / root_k     # |e0><e0| w0, one row
 
     # step 4: uncompute with U^dagger. Each branch is gathered C-ordered
     # (r, 2^n, k): the sums below round according to that layout.
-    branch1 = np.take(e0_part, fwd.T, axis=1)
-    p1 = float(np.sum(np.abs(branch1) ** 2))
+    branch1 = e0_part.take(fwd.T, axis=1)
+    p1 = float((np.abs(branch1) ** 2).sum())
     outcome = 1 if rng.random() < p1 else 0
     if outcome == 1:
         kept = branch1
     else:  # gathered only when drawn, so a branch no trial takes never raises
         kept = np.ascontiguousarray((w0 - e0_part[:, None, :])[:, np.arange(k), fwd.T])
-    kept_norm = np.linalg.norm(kept)
+    kept_norm = _norm(kept)
     if kept_norm == 0:
         raise InvalidArgumentError("measurement collapsed to the zero vector")
     kept = kept * (1 / kept_norm)  # = kept / kept_norm, as in step 2
 
     # discard B by contracting with |e0>; exact for exactly mixing families
     proj_b = kept.sum(axis=2) / root_k
-    fidelity = float(np.linalg.norm(proj_b))
+    fidelity = _norm(proj_b)
     if fidelity == 0:
         raise InvalidArgumentError("index register lost all weight on |e0>")
     post = (proj_b / fidelity).reshape(rest_shape + (da,))
-    post = np.moveaxis(post, -1, axis)
+    post = _move_axis(post, -1, axis)
     return ProjectorMeasurement(
         outcome=outcome,
         state=QuantumState(state.dims, post),
@@ -385,7 +410,7 @@ def swap_test(state: QuantumState, rng, axis1: int = 0, axis2: int = 1):
     """
     if state.dims[axis1] != state.dims[axis2]:
         raise InvalidArgumentError("swap test requires equal dimensions")
-    swapped = np.swapaxes(state.amp, axis1, axis2)
+    swapped = state.amp.swapaxes(axis1, axis2)
     anti = (state.amp - swapped) / 2.0
     p_diff = float(np.vdot(anti, anti).real)
     if rng.random() < p_diff:

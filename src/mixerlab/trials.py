@@ -7,6 +7,10 @@ earlier trials made. Trials run in index order in the calling thread.
 
 import numpy as np
 
+# The most trials one configured run may ask for: a run keeps every trial's
+# record, and no test or example needs more than 10 000.
+MAX_TRIALS = 1 << 20
+
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])

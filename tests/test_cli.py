@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mixerlab import GroundTruthPartition, cli
+from mixerlab.trials import MAX_TRIALS
 
 PARTITION = GroundTruthPartition.from_components(3, [[0, 1, 2], [3, 4]]).to_json_dict()
 BALANCED = GroundTruthPartition.from_components(2, [[0, 1], [2, 3]]).to_json_dict()
@@ -282,6 +283,46 @@ def test_trials_below_one_is_a_config_error(tmp_path, experiment, config_trials,
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error:") and "trials" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("am", {"merlin": "honest"}),
+        ("coam", {}),
+        ("qma", {}),
+        ("projector-demo", {"s": "00"}),
+        ("counterfeit", {}),
+        ("grover-embed", {"n": 4, "q": 2}),
+    ],
+)
+@pytest.mark.parametrize(
+    "config_trials, args, shown",
+    [
+        (2**70, [], 2**70),
+        (MAX_TRIALS + 1, [], MAX_TRIALS + 1),
+        (5, ["--trials", str(2**70)], 2**70),
+    ],
+)
+def test_trials_over_the_cap_is_a_config_error_before_anything_is_built(
+    tmp_path, monkeypatch, capsys, experiment, params, config_trials, args, shown,
+):
+    def unbuilt(*args, **kwargs):
+        pytest.fail("the experiment was built before trials was checked")
+
+    monkeypatch.setattr(cli, "instance_from_config", unbuilt)
+    monkeypatch.setattr(cli, "grover_embedding_query_experiment", unbuilt)
+    config = {
+        "experiment": experiment,
+        "seed": 1,
+        "trials": config_trials,
+        "instance": {"family": "offset", "partition": BALANCED},
+        "params": params,
+    }
+    assert cli.main(["run", write_config(tmp_path, "c.json", config), *args]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: trials must be between 1 and {MAX_TRIALS}, got {shown}\n"
+    )
 
 
 def test_point_out_of_range_is_a_config_error(tmp_path):

@@ -24,6 +24,8 @@ from mixerlab.protocols import build_qma_witness
 from mixerlab.quantum import (
     ALPHA_VALUES,
     STATE_DIM_CAP,
+    _move_axis,
+    _norm,
     apply_cm,
     component_superposition_via_projection,
     prepare_uniform_s,
@@ -58,6 +60,18 @@ def test_state_constructors():
 def test_a_state_with_a_non_finite_norm_is_rejected(amp, normalize):
     with pytest.raises(InvalidArgumentError, match="is not finite"):
         QuantumState((2,), np.array(amp), normalize=normalize)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "support, message",
+    [([], "non-empty support"), ([1, 1], "repeated elements"), ([0, 2, 3, 2], "repeated elements")],
+)
+def test_uniform_rejects_an_empty_or_repeated_support(support, message):
+    # refused before anything is divided: a division by zero would warn,
+    # and warnings are errors here
+    with pytest.raises(InvalidArgumentError, match=message):
+        QuantumState.uniform(4, support)
 
 
 def test_overlap_and_fidelity():
@@ -267,6 +281,46 @@ def reference_apply_cm(state, oracle, alpha_axis, index_axis, element_axis):
             ]
             out[..., ai, ji, :] = work[..., ai, ji, source]
     return np.moveaxis(out, (-3, -2, -1), axes)
+
+
+SHAPES = [(5,), (3, 4), (2, 3, 4), (2, 3, 2, 3)]
+
+
+def views(shape, seed):
+    """A random complex array of ``shape``, as a C-contiguous array, a
+    transposed view and a strided view."""
+    parts = np.random.default_rng(seed).normal(size=(2, *shape))
+    a = parts[0] + 1j * parts[1]
+    return {"contiguous": a, "transposed": a.T, "strided": a[..., ::2]}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("fill", [None, complex(np.nan, 0), complex(0, np.inf),
+                                  complex(-np.inf, np.nan), complex(np.inf, 1)])
+def test_norm_equals_numpys_norm_bit_for_bit(shape, fill):
+    for name, a in views(shape, len(shape)).items():
+        if fill is not None:
+            a[(0,) * a.ndim] = fill
+        expected, got = np.linalg.norm(a), _norm(a)
+        assert type(got) is float
+        assert got == expected or (np.isnan(expected) and np.isnan(got)), name
+        if fill is not None:  # a state still refuses a non-finite norm
+            for normalize in (False, True):
+                with pytest.raises(InvalidArgumentError, match="is not finite"):
+                    QuantumState(a.shape, a, normalize=normalize)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_move_axis_returns_numpys_moveaxis_view(shape):
+    ndim = len(shape)
+    for name, a in views(shape, ndim).items():
+        for source in range(-ndim, ndim):
+            for destination in range(-ndim, ndim):
+                got = _move_axis(a, source, destination)
+                expected = np.moveaxis(a, source, destination)
+                assert got.shape == expected.shape, (name, source, destination)
+                assert got.strides == expected.strides, (name, source, destination)
+                assert got.ctypes.data == expected.ctypes.data == a.ctypes.data
 
 
 def random_state(dims, seed) -> QuantumState:
