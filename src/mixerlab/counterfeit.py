@@ -16,7 +16,7 @@ transcript is identical under the collapsed-row-0 label and under the valid
 embed-only label once both are hidden with the same permutations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,36 +269,6 @@ def hiding_indistinguishability_check(
         return np.allclose(out0.amp, out1.amp)
 
     return all(run_seeded_trials(agree, num_perms, seed))
-
-
-def scanning_detection_probability(
-    base_oracle: MixerOracle,
-    base_truth: GroundTruthPartition,
-    j: int,
-    seed: int,
-) -> float:
-    """Exact single-scan detection probability on a hidden shifted-row
-    instance: the fraction of label inputs that reveal the invalidity."""
-    n = base_truth.n
-    d2 = 1 << (2 * n)
-    rng = trial_rng(seed, 0)
-    pi = rng.permutation(d2)
-    sigma = rng.permutation(d2)
-    instance = apply_hiding(
-        make_layered_instance(base_oracle, base_truth, "row_j", j=j), pi, sigma
-    )
-    start = instance.start_element(base_truth.component_elements(1)[0])
-    mixer = instance.mixer2n.session(rng=rng)
-    label = instance.label2n.session()
-    component, start_label = _component_closure(mixer, label, start)
-    in_component = set(component)
-    revealing = sum(
-        1
-        for x in range(d2)
-        if instance.label2n.label_int(x) == instance.label2n.label_int(start)
-        and x not in in_component
-    )
-    return revealing / d2
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ if TYPE_CHECKING:
     from .instances import PointFunction
 
 # the kinds a QuerySession counts: the six classical operations, then the
-# quantum engine's state preparation, projections and controlled mixer
+# component projector's controlled-mixer steps and index-register projections
 QUERY_KINDS = (
     "membership_S", "sample_S", "membership_Ind", "sample_Ind", "apply", "apply_inverse",
-    "prepare_S", "project_S", "CM", "project_Ind",
+    "CM", "project_Ind",
 )
 
 

@@ -212,52 +212,6 @@ def run_projector_demo(
 
 
 # ---------------------------------------------------------------------------
-# Amplification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AmplifiedDecision:
-    accept: bool
-    accept_fraction: float
-    repetitions: int
-    error_bound: float | None  # Hoeffding bound at the declared gap, if given
-
-
-def hoeffding_error(repetitions: int, gap: float) -> float:
-    """exp(-2 R gap^2): the two-sided threshold-vote error bound."""
-    return math.exp(-2.0 * repetitions * gap * gap)
-
-
-def amplify(
-    trial_fn,
-    repetitions: int,
-    seed: int,
-    threshold: float | None = None,
-    mode: str = "threshold",
-    gap: float | None = None,
-) -> AmplifiedDecision:
-    """Amplify a one-shot protocol by repetition.
-
-    ``threshold`` mode takes a majority/threshold vote and reports the
-    Hoeffding error bound for the declared gap between the completeness and
-    soundness rates. ``and`` mode accepts only if every repetition accepts
-    (for completeness-1 protocols, soundness decays as 2^-R).
-    """
-    if repetitions < 1:
-        raise InvalidArgumentError("repetitions must be >= 1")
-    results = run_seeded_trials(lambda t, rng: bool(trial_fn(rng)), repetitions, seed)
-    fraction = sum(results) / repetitions
-    if mode == "and":
-        return AmplifiedDecision(all(results), fraction, repetitions, None)
-    if mode != "threshold":
-        raise InvalidArgumentError(f"unknown amplification mode {mode!r}")
-    if threshold is None:
-        threshold = 0.5
-    bound = hoeffding_error(repetitions, gap) if gap is not None else None
-    return AmplifiedDecision(fraction >= threshold, fraction, repetitions, bound)
-
-
-# ---------------------------------------------------------------------------
 # Statistical-difference reductions
 # ---------------------------------------------------------------------------
 

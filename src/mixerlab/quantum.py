@@ -4,12 +4,14 @@ States are complex amplitude vectors shaped by a tuple of register
 dimensions. All operators are applied exactly; measurement outcomes are
 sampled from Born probabilities with a caller-supplied generator.
 
-Quantum query accounting, charged to the session passed in, if any:
-preparing or projecting onto the uniform-S state charges one query; a
-controlled-mixer application charges one query; the component-projector
-measurement charges exactly two controlled-mixer queries (compute and
-uncompute) plus two index-register queries (prepare and reflect). Each
-controlled-mixer step also charges the oracle's point function, if any.
+Quantum query accounting, charged to the session passed in, if any: the
+component-projector measurement charges exactly two controlled-mixer queries
+(compute and uncompute) plus two index-register queries (prepare and
+reflect). Each controlled-mixer step also charges the oracle's point
+function, if any.
+
+A state's dimension is checked against ``STATE_DIM_CAP`` before its
+amplitudes are allocated or converted to complex.
 
 Mixer applications read the oracle's stacked index-by-element tables
 (:meth:`MixerOracle.permutation_tables`): each controlled-mixer step is one
@@ -24,17 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_int
 from .errors import InvalidArgumentError
 from .oracle import MixerOracle, QuerySession
 
-NORM_TOL = 1e-12
-PROJECTOR_TOL = 1e-9
 TRACE_TOL = 1e-10
 
 STATE_DIM_CAP = 1 << 22
-
-ALPHA_VALUES = (-1, 0, 1)  # basis order of the control register
 
 
 # The engine's arrays are small, so numpy's Python-level wrappers would cost
@@ -58,6 +55,13 @@ def _move_axis(a: np.ndarray, source: int, destination: int) -> np.ndarray:
     return a.transpose(order)
 
 
+def _check_dimension(size: int) -> None:
+    if size > STATE_DIM_CAP:
+        raise InvalidArgumentError(
+            f"state dimension {size} exceeds the cap {STATE_DIM_CAP}"
+        )
+
+
 class QuantumState:
     """A unit-norm complex amplitude tensor over declared registers."""
 
@@ -65,9 +69,8 @@ class QuantumState:
 
     def __init__(self, dims, amp, normalize=False):
         dims = tuple(int(d) for d in dims)
+        _check_dimension(math.prod(dims))
         amp = np.asarray(amp, dtype=complex).reshape(dims)
-        if amp.size > STATE_DIM_CAP:
-            raise InvalidArgumentError(f"state dimension {amp.size} exceeds cap")
         norm = _norm(amp)
         if not math.isfinite(norm):
             raise InvalidArgumentError(f"state norm {norm} is not finite")
@@ -82,6 +85,7 @@ class QuantumState:
 
     @classmethod
     def basis(cls, dims, index) -> "QuantumState":
+        _check_dimension(math.prod(dims))
         amp = np.zeros(dims, dtype=complex)
         amp[index] = 1.0
         return cls(dims, amp)
@@ -93,19 +97,23 @@ class QuantumState:
             raise InvalidArgumentError("a uniform state needs a non-empty support")
         if len(set(support)) != len(support):
             raise InvalidArgumentError("a uniform state's support has repeated elements")
+        lo, hi = min(support), max(support)
+        if lo < 0 or hi >= dim:
+            raise InvalidArgumentError(
+                f"support element {lo if lo < 0 else hi} is outside [0, {dim})"
+            )
+        _check_dimension(dim)
         amp = np.zeros(dim, dtype=complex)
         amp[support] = 1.0 / math.sqrt(len(support))
         return cls((dim,), amp)
 
     def tensor(self, other: "QuantumState") -> "QuantumState":
+        _check_dimension(self.amp.size * other.amp.size)
         amp = np.tensordot(self.amp, other.amp, axes=0)
         return QuantumState(self.dims + other.dims, amp)
 
     def overlap(self, other: "QuantumState") -> complex:
         return complex(np.vdot(self.amp, other.amp))
-
-    def norm(self) -> float:
-        return _norm(self.amp)
 
     def density(self) -> "DensityMatrix":
         v = self.amp.reshape(-1)
@@ -139,14 +147,6 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(m)) < -1e-8:
             raise InvalidArgumentError("density matrix is not PSD")
         self.matrix = m
-
-    @classmethod
-    def average_of_states(cls, states) -> "DensityMatrix":
-        vecs = [s.amp.reshape(-1) for s in states]
-        acc = np.zeros((vecs[0].size, vecs[0].size), dtype=complex)
-        for v in vecs:
-            acc += np.outer(v, v.conj())
-        return cls(acc / len(vecs))
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -182,81 +182,6 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 # ---------------------------------------------------------------------------
 # Quantum query access
 # ---------------------------------------------------------------------------
-
-def _uniform_s_vector(oracle: MixerOracle) -> np.ndarray:
-    v = np.zeros(1 << oracle.n, dtype=complex)
-    v[list(oracle.members)] = 1.0 / math.sqrt(len(oracle.members))
-    return v
-
-
-def prepare_uniform_s(oracle: MixerOracle, session: QuerySession | None = None):
-    if session is not None:
-        session.charge("prepare_S")
-    return QuantumState((1 << oracle.n,), _uniform_s_vector(oracle))
-
-
-def _project_onto_vector(state: QuantumState, vec: np.ndarray, axis: int, rng):
-    amp = _move_axis(state.amp, axis, -1)
-    comp = amp @ vec.conj()
-    p1 = float(np.vdot(comp, comp).real)
-    outcome = 1 if rng.random() < p1 else 0
-    inside = comp[..., None] * vec
-    post = inside if outcome == 1 else amp - inside
-    norm = _norm(post)
-    if norm == 0:
-        raise InvalidArgumentError("measurement collapsed to the zero vector")
-    post = _move_axis(post / norm, -1, axis)
-    return outcome, QuantumState(state.dims, post)
-
-
-def project_uniform_s(
-    state: QuantumState, oracle: MixerOracle, rng, axis: int = 0,
-    session: QuerySession | None = None,
-):
-    """Projective measurement onto the uniform superposition over S."""
-    if state.dims[axis] != 1 << oracle.n:
-        raise InvalidArgumentError("axis dimension must be 2^n")
-    if session is not None:
-        session.charge("project_S")
-    return _project_onto_vector(state, _uniform_s_vector(oracle), axis, rng)
-
-
-def apply_cm(
-    state: QuantumState,
-    oracle: MixerOracle,
-    alpha_axis: int,
-    index_axis: int,
-    element_axis: int,
-    session: QuerySession | None = None,
-) -> QuantumState:
-    """The controlled-mixer unitary: |alpha, i, s> -> |alpha, i, M_i^alpha(s)>.
-
-    The control register's basis order is (-1, 0, +1); the index register's
-    basis is the canonical index enumeration; basis states outside S are
-    left fixed.
-    """
-    if state.dims[alpha_axis] != 3:
-        raise InvalidArgumentError("control register must have dimension 3")
-    if state.dims[index_axis] != len(oracle.index_ints):
-        raise InvalidArgumentError("index register must have dimension |Ind|")
-    if state.dims[element_axis] != 1 << oracle.n:
-        raise InvalidArgumentError("element register must have dimension 2^n")
-    fwd, inv = oracle.permutation_tables()  # raises before anything is charged
-    if session is not None:
-        session.charge("CM")
-        if oracle.point is not None:
-            oracle.point.charge()
-
-    work = np.moveaxis(state.amp, (alpha_axis, index_axis, element_axis), (-3, -2, -1))
-    out = work.copy()
-    rows = np.arange(len(oracle.index_ints))[:, None]
-    # out[y] = work[M_i^-alpha(y)]: alpha = +1 gathers through inv, -1 through fwd
-    for alpha, source in ((1, inv), (-1, fwd)):
-        ai = ALPHA_VALUES.index(alpha)
-        out[..., ai, :, :] = work[..., ai, rows, source]
-    out = np.moveaxis(out, (-3, -2, -1), (alpha_axis, index_axis, element_axis))
-    return QuantumState(state.dims, out)
-
 
 @dataclass
 class ProjectorMeasurement:
@@ -378,28 +303,6 @@ def exact_component_projector(truth) -> np.ndarray:
     for x in truth.garbage:
         p[x, x] = 1.0
     return p
-
-
-def component_superposition_via_projection(
-    oracle: MixerOracle, s, max_attempts: int, rng,
-    session: QuerySession | None = None,
-):
-    """Repeat-until-success baseline for preparing a component superposition.
-
-    Each attempt starts from the basis state |s> and measures the component
-    projector; success probability is 1/|component|. Returns
-    (state or None, attempts used).
-    """
-    si = as_int(s, oracle.n)
-    if not oracle.is_member(si):
-        raise InvalidArgumentError(f"{s!r} is not a member of S")
-    dim = 1 << oracle.n
-    for attempt in range(1, max_attempts + 1):
-        trial = QuantumState.basis((dim,), si)
-        result = measure_component_projector(trial, oracle, rng, session=session)
-        if result.outcome == 1:
-            return result.state, attempt
-    return None, max_attempts
 
 
 def swap_test(state: QuantumState, rng, axis1: int = 0, axis2: int = 1):

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from mixerlab import GroundTruthPartition, cli
+from mixerlab.quantum import STATE_DIM_CAP
 from mixerlab.trials import MAX_TRIALS
 
 PARTITION = GroundTruthPartition.from_components(3, [[0, 1, 2], [3, 4]]).to_json_dict()
@@ -335,6 +337,27 @@ def test_point_out_of_range_is_a_config_error(tmp_path):
     proc = run_cli("run", cfg)
     assert proc.returncode == 1
     assert "point 7 out of range" in proc.stderr
+
+
+def test_a_witness_over_the_state_cap_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # two 4096-amplitude component states whose product has 2^24 amplitudes
+    config = {
+        "experiment": "qma",
+        "seed": 1,
+        "trials": 2,
+        "instance": {"family": "coset", "modulus": 4096, "generators": [2]},
+    }
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", write_config(tmp_path, "c.json", config)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < STATE_DIM_CAP * 16  # bytes in one cap-sized complex array
+    assert capsys.readouterr().err == (
+        f"config error: state dimension {1 << 24} exceeds the cap {STATE_DIM_CAP}\n"
+    )
 
 
 @pytest.mark.parametrize("args", [["--parallel", "2"], ["--trials", "abc"], ["--bogus"]])

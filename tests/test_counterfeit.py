@@ -16,7 +16,6 @@ from mixerlab.counterfeit import (
     grover_embedding_query_experiment,
     hiding_indistinguishability_check,
     run_counterfeiter,
-    scanning_detection_probability,
     solve_component_superposition_via_counterfeiter,
 )
 from mixerlab.errors import InvalidArgumentError
@@ -103,15 +102,6 @@ def test_scanning_foil_distinguishes_point_function(base):
     assert report.distance > 0.3
     assert report.detections_point > 0
     assert report.detections_zero == 0
-
-
-def test_single_scan_detection_probability(base):
-    oracle, truth = base
-    # two of sixteen positions carry the start label but sit outside the
-    # component, so a uniform scan reveals the shifted row 1/8 of the time
-    assert scanning_detection_probability(oracle, truth, 1, seed=7) == pytest.approx(
-        2 / 16
-    )
 
 
 def test_gated_mixer_coherent_query_accounting(base):

@@ -27,7 +27,6 @@ from mixerlab.layered import hide_instance, make_layered_instance
 from mixerlab.oracle import QUERY_KINDS, MixerOracle
 from mixerlab.quantum import (
     QuantumState,
-    apply_cm,
     component_projector_matrix,
     measure_component_projector,
 )
@@ -411,18 +410,11 @@ def _hidden_layered_grover():
     return inst.mixer2n, inst.label2n, g
 
 
-def _cm_state(mixer, alpha_position):
-    dims = (3, len(mixer.index_ints), 1 << mixer.n)
-    return QuantumState.basis(dims, (alpha_position, 1, 0))
-
-
 # operation -> (call on (mixer, label, session), evaluations it makes)
 METERED = {
     "apply": (lambda m, lab, s: s.apply(m.index_ints[1], 1), 1),
     "apply_inverse": (lambda m, lab, s: s.apply_inverse(m.index_ints[1], 1), 1),
     "label query": (lambda m, lab, s: lab.session().query(1), 1),
-    "apply_cm": (lambda m, lab, s: apply_cm(_cm_state(m, 2), m, 0, 1, 2, session=s), 1),
-    "apply_cm inverse": (lambda m, lab, s: apply_cm(_cm_state(m, 0), m, 0, 1, 2, session=s), 1),
     "projector": (
         lambda m, lab, s: measure_component_projector(
             QuantumState.basis((1 << m.n,), 0), m, np.random.default_rng(0), session=s

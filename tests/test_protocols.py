@@ -10,9 +10,7 @@ from mixerlab import (
 from mixerlab.errors import InvalidArgumentError
 from mixerlab.protocols import (
     ARTHUR_QUERIES_PER_AM_TRIAL,
-    amplify,
     build_qma_witness,
-    hoeffding_error,
     run_am_mbcp,
     run_coam_mbcp,
     run_qma_mc,
@@ -90,28 +88,6 @@ def test_witness_requires_distinct_components(balanced):
     _, truth = balanced
     with pytest.raises(InvalidArgumentError):
         build_qma_witness(truth, 1, 1)
-
-
-def test_amplification_threshold_mode():
-    decision = amplify(
-        lambda rng: rng.random() < 0.75, 200, seed=7, threshold=11 / 16, gap=1 / 16
-    )
-    assert decision.accept
-    assert decision.error_bound == pytest.approx(hoeffding_error(200, 1 / 16))
-    rejected = amplify(lambda rng: rng.random() < 0.5, 200, seed=8, threshold=11 / 16)
-    assert not rejected.accept
-
-
-def test_amplification_and_mode():
-    always = amplify(lambda rng: True, 50, seed=9, mode="and")
-    assert always.accept and always.accept_fraction == 1.0
-    flaky = amplify(lambda rng: rng.random() < 0.5, 50, seed=10, mode="and")
-    assert not flaky.accept
-
-
-def test_hoeffding_bound_shrinks():
-    assert hoeffding_error(200, 1 / 16) < hoeffding_error(100, 1 / 16)
-    assert hoeffding_error(2000, 1 / 16) < 1 / 3
 
 
 def test_pair_distribution_distance(balanced, single):

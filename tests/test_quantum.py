@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,16 +23,7 @@ from mixerlab import (
 )
 from mixerlab.errors import InvalidArgumentError
 from mixerlab.protocols import build_qma_witness
-from mixerlab.quantum import (
-    ALPHA_VALUES,
-    STATE_DIM_CAP,
-    _move_axis,
-    _norm,
-    apply_cm,
-    component_superposition_via_projection,
-    prepare_uniform_s,
-    project_uniform_s,
-)
+from mixerlab.quantum import STATE_DIM_CAP, _move_axis, _norm
 from test_verify import partitions, restricted
 
 
@@ -65,13 +58,44 @@ def test_a_state_with_a_non_finite_norm_is_rejected(amp, normalize):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "support, message",
-    [([], "non-empty support"), ([1, 1], "repeated elements"), ([0, 2, 3, 2], "repeated elements")],
+    [
+        ([], "non-empty support"),
+        ([1, 1], "repeated elements"),
+        ([0, 2, 3, 2], "repeated elements"),
+        ([0, 4], r"support element 4 is outside \[0, 4\)"),
+        ([1, -3], r"support element -3 is outside \[0, 4\)"),  # not aliased to 1
+    ],
 )
 def test_uniform_rejects_an_empty_or_repeated_support(support, message):
     # refused before anything is divided: a division by zero would warn,
     # and warnings are errors here
     with pytest.raises(InvalidArgumentError, match=message):
         QuantumState.uniform(4, support)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        # a real view that holds no memory: converting it would allocate
+        (lambda: QuantumState((2049, 2048), np.broadcast_to(0.0, (2049 * 2048,))),
+         2049 * 2048),
+        (lambda: QuantumState.basis((2049, 2048), (0, 0)), 2049 * 2048),
+        (lambda: QuantumState.uniform(STATE_DIM_CAP + 1, [0]), STATE_DIM_CAP + 1),
+        (lambda: QuantumState.uniform(2049, [0]).tensor(QuantumState.uniform(2048, [0])),
+         2049 * 2048),
+    ],
+    ids=["init", "basis", "uniform", "tensor"],
+)
+def test_a_state_over_the_cap_is_refused_before_it_is_allocated(build, size):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError) as refused:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STATE_DIM_CAP * 16  # bytes in one cap-sized complex array
+    assert str(refused.value) == f"state dimension {size} exceeds the cap {STATE_DIM_CAP}"
 
 
 def test_overlap_and_fidelity():
@@ -100,7 +124,7 @@ def test_trace_distance_basic():
 def test_density_average_and_purity():
     a = QuantumState.basis((2,), 0)
     b = QuantumState.basis((2,), 1)
-    rho = DensityMatrix.average_of_states([a, b])
+    rho = DensityMatrix((a.density().matrix + b.density().matrix) / 2)
     assert rho.purity() == pytest.approx(0.5)
     lam, vec = a.density().dominant_eigenvector()
     assert lam == pytest.approx(1.0)
@@ -118,44 +142,6 @@ def test_projector_matrix_matches_exact(setup):
     P = component_projector_matrix(oracle)
     assert np.max(np.abs(P - exact_component_projector(truth))) < 1e-12
     assert np.max(np.abs(P @ P - P)) < 1e-12
-
-
-def test_uniform_preparation_charges_one_query(setup):
-    oracle, _ = setup
-    session = oracle.session()
-    state = prepare_uniform_s(oracle, session)
-    assert charged(session) == {"prepare_S": 1}
-    assert state.amp[0] == pytest.approx(1 / np.sqrt(5))
-
-
-def test_projection_onto_uniform(setup):
-    oracle, truth = setup
-    rng = np.random.default_rng(0)
-    session = oracle.session()
-    comp1 = QuantumState.uniform(8, [0, 1, 2])
-    outcome, post = project_uniform_s(comp1, oracle, rng, session=session)
-    assert charged(session) == {"project_S": 1}
-    # |<S|S_1>|^2 = 3/5, both outcomes possible; check against exact law
-    assert outcome in (0, 1)
-
-
-def test_controlled_mixer_is_a_basis_permutation(setup):
-    oracle, truth = setup
-    session = oracle.session()
-    k = len(oracle.index_ints)
-    enc = oracle.index_ints[1]
-    # control basis order is (-1, 0, +1): position 2 applies the mixer forward
-    state = QuantumState.basis((3, k, 8), (2, 1, 0))
-    out = apply_cm(state, oracle, 0, 1, 2, session=session)
-    expected = QuantumState.basis((3, k, 8), (2, 1, oracle.apply_int(enc, 0)))
-    assert abs(out.overlap(expected)) == pytest.approx(1.0)
-    # position 0 applies the inverse; position 1 is the identity
-    back = QuantumState.basis((3, k, 8), (0, 1, oracle.apply_int(enc, 0)))
-    undone = apply_cm(back, oracle, 0, 1, 2, session=session)
-    assert abs(undone.overlap(QuantumState.basis((3, k, 8), (0, 1, 0)))) == pytest.approx(1.0)
-    idle = QuantumState.basis((3, k, 8), (1, 1, 0))
-    assert abs(apply_cm(idle, oracle, 0, 1, 2).overlap(idle)) == pytest.approx(1.0)
-    assert charged(session) == {"CM": 2}
 
 
 def test_projector_measurement_statistics(setup):
@@ -200,15 +186,6 @@ def test_projector_measurement_fixes_garbage(setup):
     result = measure_component_projector(garbage, oracle, rng)
     assert result.outcome == 1
     assert abs(result.state.overlap(garbage)) == pytest.approx(1.0)
-
-
-def test_repeated_projection_prepares_component_superposition(setup):
-    oracle, truth = setup
-    rng = np.random.default_rng(9)
-    state, attempts = component_superposition_via_projection(oracle, 3, 200, rng)
-    assert state is not None
-    target = QuantumState.uniform(8, [3, 4])
-    assert state_fidelity(state, target) == pytest.approx(1.0)
 
 
 def test_swap_test_probabilities():
@@ -260,27 +237,6 @@ def reference_projector(state, oracle, rng, axis=0):
     fidelity = float(np.linalg.norm(proj_b))
     post = np.moveaxis((proj_b / fidelity).reshape(rest_shape + (da,)), -1, axis)
     return outcome, p1, fidelity, QuantumState(state.dims, post).amp
-
-
-def reference_apply_cm(state, oracle, alpha_axis, index_axis, element_axis):
-    """apply_cm as one loop over (alpha, index) pairs. M_i^alpha sends
-    amplitude at x to M_i^alpha(x), so each row gathers from M_i^-alpha: the
-    forward step from the inverse closure (``inverse_int``), the inverse step
-    from the forward one, never from an ``argsort``."""
-    axes = (alpha_axis, index_axis, element_axis)
-    work = np.moveaxis(state.amp, axes, (-3, -2, -1))
-    out = work.copy()
-    gather = {1: oracle.inverse_int, -1: oracle.apply_int}
-    for ai, alpha in enumerate(ALPHA_VALUES):
-        if alpha == 0:
-            continue
-        for ji, enc in enumerate(oracle.index_ints):
-            source = [
-                gather[alpha](enc, y) if oracle.is_member(y) else y
-                for y in range(1 << oracle.n)
-            ]
-            out[..., ai, ji, :] = work[..., ai, ji, source]
-    return np.moveaxis(out, (-3, -2, -1), axes)
 
 
 SHAPES = [(5,), (3, 4), (2, 3, 4), (2, 3, 2, 3)]
@@ -383,18 +339,6 @@ def test_projector_matches_the_loops_on_the_qma_witness(seed):
     assert_matches_reference(first.state, oracle, seed + 100, 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(oracle=oracles(), order=st.permutations([0, 1, 2]), seed=st.integers(0, 2**32 - 1))
-def test_apply_cm_is_bitwise_identical_to_the_per_index_loop(oracle, order, seed):
-    sizes = (3, len(oracle.index_ints), 1 << oracle.n)
-    dims = [0, 0, 0]
-    for size, position in zip(sizes, order):
-        dims[position] = size
-    state = random_state(tuple(dims), seed)
-    out = apply_cm(state, oracle, *order)
-    assert np.array_equal(out.amp, reference_apply_cm(state, oracle, *order))
-
-
 def test_tables_are_built_once_on_first_quantum_use(setup, monkeypatch):
     calls = []
     original = MixerOracle.permutation_table
@@ -405,16 +349,11 @@ def test_tables_are_built_once_on_first_quantum_use(setup, monkeypatch):
 
     monkeypatch.setattr(MixerOracle, "permutation_table", counted)
     oracle = make_offset_mixer(setup[1])
-    k = len(oracle.index_ints)
     assert calls == []
     rng = np.random.default_rng(11)
     for _ in range(3):
         measure_component_projector(QuantumState.basis((8,), 0), oracle, rng)
     assert sorted(calls) == sorted(oracle.index_ints)
-    # both directions of the controlled mixer read the same pair
-    apply_cm(QuantumState.basis((3, k, 8), (0, 1, 0)), oracle, 0, 1, 2)
-    apply_cm(QuantumState.basis((3, k, 8), (2, 1, 0)), oracle, 0, 1, 2)
-    assert len(calls) == k
     assert not any(t.flags.writeable for t in oracle.permutation_tables())
 
 
@@ -424,9 +363,6 @@ def test_non_bijective_mixer_names_the_first_offending_index():
     for _ in range(2):  # a failed build caches nothing
         with pytest.raises(InvalidArgumentError, match="grover-n2 index 1 is not a bijection"):
             measure_component_projector(QuantumState.basis((4,), 0), oracle, np.random.default_rng(0))
-    k = len(oracle.index_ints)
-    with pytest.raises(InvalidArgumentError, match="index 1 is not a bijection"):
-        apply_cm(QuantumState.basis((3, k, 4), (2, 0, 0)), oracle, 0, 1, 2)
 
 
 def test_a_measurement_that_raises_charges_nothing():
@@ -437,8 +373,6 @@ def test_a_measurement_that_raises_charges_nothing():
         measure_component_projector(
             QuantumState.basis((4,), 0), oracle, np.random.default_rng(0), session=session
         )
-    with pytest.raises(InvalidArgumentError, match="index 1 is not a bijection"):
-        apply_cm(QuantumState.basis((3, 4, 4), (2, 0, 0)), oracle, 0, 1, 2, session=session)
     assert charged(session) == {}
     assert g.queries == 0
 
