@@ -183,6 +183,16 @@ def distinguishing_experiment(
     marginals stay exact, only the estimation error is correlated). The
     point row is drawn uniformly at random per trial. The two d x d density
     sums (d = 4^n) must fit ``STATE_DIM_CAP``, which holds for n <= 5.
+
+    A grover-variant embedding depends only on its rest row (None or the
+    marked point), so the 2^n + 1 of them are built once per run, each with
+    its own point function; a trial only hides one and runs the
+    counterfeiter, and an arm's g-query count is what its run added. Each
+    output state v adds only the rows of v v^H on its support: the rows it
+    skips would add +-0, which changes no entry of a sum that starts at +0,
+    so the sums equal the dense ones bit for bit. (Full rows, not a k x k
+    block: numpy may multiply a short complex row by another inner loop,
+    and a 1 x 1 block differs in the last bit on an AVX-512 build.)
     """
     n = base_truth.n
     d2 = 1 << (2 * n)
@@ -193,20 +203,26 @@ def distinguishing_experiment(
         )
     # one density sum per arm, accumulated trial by trial
     acc = np.zeros((2, d2, d2), dtype=complex)
+    layered = {
+        row: make_layered_instance(base_oracle, base_truth, "grover", g=PointFunction(n, row))
+        for row in (None, *range(1 << n))
+    }
 
     def one(t, rng):
         pi = rng.permutation(d2)
         sigma = rng.permutation(d2)
         y = int(rng.integers(1 << n))
         records = []
-        for arm, g in enumerate((PointFunction(n, None), PointFunction(n, y))):
-            instance = make_layered_instance(base_oracle, base_truth, "grover", g=g)
-            instance = apply_hiding(instance, pi, sigma)
+        for arm, row in enumerate((None, y)):
+            instance = layered[row]
+            g = instance.mixer2n.point
+            before = g.queries
             alg = alg_factory()
-            state, _, _ = run_counterfeiter(alg, instance, s, rng)
+            state, _, _ = run_counterfeiter(alg, apply_hiding(instance, pi, sigma), s, rng)
             v = state.amp.reshape(-1)
-            acc[arm] += np.outer(v, v.conj())
-            records.append((g.queries, getattr(alg, "last_detected", False)))
+            k = np.flatnonzero(v)
+            acc[arm][k] += np.outer(v[k], v.conj())
+            records.append((g.queries - before, getattr(alg, "last_detected", False)))
         return records
 
     per_trial = run_seeded_trials(one, trials, seed)

@@ -342,7 +342,7 @@ def instance_from_config(spec: dict) -> InstanceBundle:
         _reject_unknown(spec, "grover")
         return InstanceBundle(make_grover_mixer(n, g), make_grover_partition(n, g.y), point=g)
     if family == "layered":
-        from .layered import hide_instance, make_layered_instance
+        from .layered import check_layered_members, hide_instance, make_layered_instance
 
         base = instance_from_config(_take(spec, "base", family))
         variant = _take(spec, "variant", family)
@@ -354,6 +354,7 @@ def instance_from_config(spec: dict) -> InstanceBundle:
                 f"family layered field 'hide' must be true or false, got {hide!r}"
             )
         _reject_unknown(spec, "layered")
+        check_layered_members(base.truth.n)
         g = _point_function(base.truth.n, point) if variant == "grover" else None
         inst = make_layered_instance(
             base.oracle, base.truth, variant,

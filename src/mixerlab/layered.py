@@ -43,6 +43,22 @@ from .partition import GroundTruthPartition
 
 VARIANTS = ("row0", "row_j", "nowhere", "grover")
 
+# A layered instance has 4^n members: its ground truth maps every one of them
+# and hiding draws two 4^n-entry permutations. Like the base families' caps,
+# this allows at most 2^16 members, so a base of at most 8 bits.
+LAYERED_MAX_MEMBERS = 1 << 16
+
+
+def check_layered_members(n: int):
+    """Refuse a 2n-bit layered space over :data:`LAYERED_MAX_MEMBERS`
+    before anything of that size is built or drawn."""
+    members = 1 << (2 * n)
+    if members > LAYERED_MAX_MEMBERS:
+        raise InvalidArgumentError(
+            f"a layered instance over a {n}-bit base has {members} members, "
+            f"over the cap {LAYERED_MAX_MEMBERS}"
+        )
+
 
 @dataclass
 class LayeredInstance:
@@ -174,6 +190,7 @@ def hide_instance(instance: LayeredInstance, rng) -> LayeredInstance:
     with an independent sigma, both stored as explicit tables."""
     if instance.pi is not None:
         raise InvalidArgumentError("instance is already hidden")
+    check_layered_members(instance.n)
     d = 1 << (2 * instance.n)
     pi = rng.permutation(d)
     sigma = rng.permutation(d)

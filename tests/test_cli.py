@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mixerlab import GroundTruthPartition, cli
+from mixerlab import GroundTruthPartition, cli, layered
+from mixerlab.layered import LAYERED_MAX_MEMBERS
 from mixerlab.quantum import STATE_DIM_CAP
 from mixerlab.trials import MAX_TRIALS
 
@@ -357,6 +358,37 @@ def test_a_witness_over_the_state_cap_is_refused_before_it_is_allocated(tmp_path
     assert peak < STATE_DIM_CAP * 16  # bytes in one cap-sized complex array
     assert capsys.readouterr().err == (
         f"config error: state dimension {1 << 24} exceeds the cap {STATE_DIM_CAP}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "experiment, modulus, bits",
+    [
+        ("am", 65536, 16),  # hiding would draw two 2^32-entry permutations
+        ("verify-mixer", 4096, 12),  # the ground truth would map 2^24 members
+    ],
+)
+def test_a_layered_space_over_the_cap_is_refused_before_it_is_built(
+    tmp_path, monkeypatch, capsys, experiment, modulus, bits,
+):
+    def unbuilt(*args, **kwargs):
+        pytest.fail("the layered instance was built before its size was checked")
+
+    monkeypatch.setattr(layered, "make_layered_instance", unbuilt)
+    monkeypatch.setattr(layered, "hide_instance", unbuilt)
+    config = {
+        "experiment": experiment,
+        "seed": 1,
+        "trials": 2,
+        "instance": {
+            "family": "layered", "variant": "row0", "hide": True,
+            "base": {"family": "coset", "modulus": modulus, "generators": [modulus // 2]},
+        },
+    }
+    assert cli.main(["run", write_config(tmp_path, "c.json", config)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: a layered instance over a {bits}-bit base has {1 << (2 * bits)} "
+        f"members, over the cap {LAYERED_MAX_MEMBERS}\n"
     )
 
 

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from mixerlab import (
+    DensityMatrix,
     GroundTruthPartition,
     PointFunction,
     QuantumState,
+    counterfeit,
+    make_coset_mixer,
+    make_graph_iso_mixer,
     make_offset_mixer,
     state_fidelity,
+    trace_distance,
 )
 from mixerlab.counterfeit import (
+    DistinguishingReport,
     LabelScanningCounterfeiter,
     ReferenceCounterfeiter,
     distinguishing_experiment,
@@ -19,7 +25,8 @@ from mixerlab.counterfeit import (
     solve_component_superposition_via_counterfeiter,
 )
 from mixerlab.errors import InvalidArgumentError
-from mixerlab.layered import hide_instance, make_layered_instance
+from mixerlab.layered import apply_hiding, hide_instance, make_layered_instance
+from mixerlab.trials import run_seeded_trials
 
 
 @pytest.fixture
@@ -115,6 +122,109 @@ def test_gated_mixer_coherent_query_accounting(base):
     # tests never touch g, only apply/apply_inverse and the label do
     applies = mixer.queries["apply"] + mixer.queries["apply_inverse"]
     assert g.queries - before == 2 * (applies + label.queries)
+
+
+def _per_trial_dense_reference(base_oracle, base_truth, s, alg_factory, trials, seed):
+    """The distinguishing loop with a fresh layered instance per arm per
+    trial and a dense outer-product sum per arm: the reference that
+    :func:`distinguishing_experiment` must match bit for bit."""
+    n = base_truth.n
+    d2 = 1 << (2 * n)
+    acc = np.zeros((2, d2, d2), dtype=complex)
+
+    def one(t, rng):
+        pi = rng.permutation(d2)
+        sigma = rng.permutation(d2)
+        y = int(rng.integers(1 << n))
+        records = []
+        for arm, g in enumerate((PointFunction(n, None), PointFunction(n, y))):
+            instance = make_layered_instance(base_oracle, base_truth, "grover", g=g)
+            instance = apply_hiding(instance, pi, sigma)
+            alg = alg_factory()
+            state, _, _ = run_counterfeiter(alg, instance, s, rng)
+            v = state.amp.reshape(-1)
+            acc[arm] += np.outer(v, v.conj())
+            records.append((g.queries, getattr(alg, "last_detected", False)))
+        return records
+
+    per_trial = run_seeded_trials(one, trials, seed)
+    rho_zero = DensityMatrix(acc[0] / trials)
+    rho_point = DensityMatrix(acc[1] / trials)
+    return DistinguishingReport(
+        rho_zero=rho_zero,
+        rho_point=rho_point,
+        distance=trace_distance(rho_zero, rho_point),
+        g_queries_max=max(q for arms in per_trial for q, _ in arms),
+        trials=trials,
+        detections_zero=sum(arms[0][1] for arms in per_trial),
+        detections_point=sum(arms[1][1] for arms in per_trial),
+    )
+
+
+class _PhasedCounterfeiter:
+    """The reference output with a random complex phase on each amplitude."""
+
+    def __call__(self, mixer, label, start, rng):
+        amp = ReferenceCounterfeiter()(mixer, label, start, rng).amp
+        return QuantumState(amp.shape, amp * np.exp(2j * np.pi * rng.random(amp.shape)))
+
+
+class _FullSupportCounterfeiter:
+    """The reference output plus a small complex amplitude on every string."""
+
+    def __call__(self, mixer, label, start, rng):
+        amp = ReferenceCounterfeiter()(mixer, label, start, rng).amp
+        noise = rng.standard_normal(amp.shape) + 1j * rng.standard_normal(amp.shape)
+        return QuantumState(amp.shape, amp + 0.1 * noise, normalize=True)
+
+
+def _offset_base(n, components):
+    truth = GroundTruthPartition.from_components(n, components)
+    return make_offset_mixer(truth), truth
+
+
+DISTINGUISHING_BASES = {
+    "offset2": lambda: _offset_base(2, [[0, 1], [2, 3]]),
+    "offset3": lambda: _offset_base(3, [[0, 1, 2], [3, 4]]),
+    "graphiso3": lambda: make_graph_iso_mixer(3),
+    "coset8": lambda: make_coset_mixer(8, [2]),
+}
+
+
+@pytest.mark.parametrize("base_name", sorted(DISTINGUISHING_BASES))
+@pytest.mark.parametrize("alg", ["reference", "scan5", "scan_all", "phased", "full_support"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_distinguishing_matches_per_trial_dense_reference(base_name, alg, seed):
+    oracle, truth = DISTINGUISHING_BASES[base_name]()
+    factory = {
+        "reference": ReferenceCounterfeiter,
+        "scan5": lambda: LabelScanningCounterfeiter(scan_count=5),
+        "scan_all": lambda: LabelScanningCounterfeiter(scan_count=1 << (2 * truth.n)),
+        "phased": _PhasedCounterfeiter,
+        "full_support": _FullSupportCounterfeiter,
+    }[alg]
+    s = truth.component_elements(1)[0]
+    report = distinguishing_experiment(oracle, truth, s, factory, trials=24, seed=seed)
+    reference = _per_trial_dense_reference(oracle, truth, s, factory, trials=24, seed=seed)
+    assert report.to_json_dict() == reference.to_json_dict()
+    for rho, expected in [(report.rho_zero, reference.rho_zero), (report.rho_point, reference.rho_point)]:
+        assert np.array_equal(rho.matrix, expected.matrix)
+        assert rho.matrix.tobytes() == expected.matrix.tobytes()  # the signs of zeros too
+
+
+@pytest.mark.parametrize("trials", [1, 3, 40])
+def test_distinguishing_builds_each_embedding_once_per_run(base, monkeypatch, trials):
+    oracle, truth = base
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["g"].y)
+        return make_layered_instance(*args, **kwargs)
+
+    monkeypatch.setattr(counterfeit, "make_layered_instance", counting)
+    distinguishing_experiment(oracle, truth, 0, ReferenceCounterfeiter, trials=trials, seed=2)
+    assert len(built) <= (1 << truth.n) + 1
+    assert len(set(built)) == len(built)
 
 
 def test_fixed_point_probe_never_false_positives():

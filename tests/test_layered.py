@@ -12,6 +12,7 @@ from mixerlab import (
 )
 from mixerlab.errors import InvalidArgumentError
 from mixerlab.layered import (
+    LAYERED_MAX_MEMBERS,
     VARIANTS,
     apply_hiding,
     hide_instance,
@@ -223,3 +224,24 @@ def test_layered_instances_mix_and_flag_their_label_honestly(case):
         assert verify_no_cross_mixing(candidate.mixer2n, candidate.truth2n)
         consistent = is_label_consistent(candidate.label2n, candidate.truth2n)
         assert candidate.label2n.valid == consistent
+
+
+class _NoDraws:
+    def permutation(self, d):
+        pytest.fail(f"drew a permutation of {d} entries")
+
+
+def test_hiding_is_capped_before_any_permutation_is_drawn():
+    # an 8-bit base gives 2^16 members, the cap; a 9-bit base is refused
+    assert LAYERED_MAX_MEMBERS == 1 << 16
+    eight = GroundTruthPartition.from_components(8, [list(range(256))])
+    inst = hide_instance(
+        make_layered_instance(make_offset_mixer(eight), eight, "row0"), np.random.default_rng(0)
+    )
+    assert len(inst.pi) == LAYERED_MAX_MEMBERS
+    nine = GroundTruthPartition.from_components(9, [list(range(512))])
+    inst = make_layered_instance(make_offset_mixer(nine), nine, "row0")
+    with pytest.raises(
+        InvalidArgumentError, match="9-bit base has 262144 members, over the cap 65536"
+    ):
+        hide_instance(inst, _NoDraws())

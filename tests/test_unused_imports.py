@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mixerlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mixerlab"
 # __init__.py imports in order to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree):
@@ -41,7 +43,10 @@ def used_names(tree):
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)
