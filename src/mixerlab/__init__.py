@@ -33,10 +33,7 @@ from .partition import GroundTruthPartition
 from .quantum import (
     DensityMatrix,
     QuantumState,
-    component_projector_matrix,
-    exact_component_projector,
     measure_component_projector,
-    state_fidelity,
     swap_test,
     trace_distance,
 )
@@ -66,8 +63,6 @@ __all__ = [
     "PromiseViolationError",
     "QuantumState",
     "as_int",
-    "component_projector_matrix",
-    "exact_component_projector",
     "from_bits",
     "full_connectivity_witness",
     "instance_from_config",
@@ -82,7 +77,6 @@ __all__ = [
     "measure_component_projector",
     "pair_decode",
     "pair_encode",
-    "state_fidelity",
     "swap_test",
     "to_bits",
     "trace_distance",

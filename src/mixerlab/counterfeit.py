@@ -193,6 +193,13 @@ def distinguishing_experiment(
     so the sums equal the dense ones bit for bit. (Full rows, not a k x k
     block: numpy may multiply a short complex row by another inner loop,
     and a 1 x 1 block differs in the last bit on an AVX-512 build.)
+
+    While every trial's two outputs are equal byte for byte, the arms share
+    one sum; the first trial whose outputs differ copies it into two, so
+    each arm's sum is still bit for bit its own. When the outputs never
+    differ (the reference counterfeiter cannot tell g = 0 from a marked
+    point), ``rho_point`` is ``rho_zero`` and the distance is exactly 0.0.
+    The two-sum cap is checked up front either way.
     """
     n = base_truth.n
     d2 = 1 << (2 * n)
@@ -201,33 +208,37 @@ def distinguishing_experiment(
             f"counterfeit density sums of {2 * d2 * d2} entries (a {n}-bit base) "
             f"exceed the cap {STATE_DIM_CAP}"
         )
-    # one density sum per arm, accumulated trial by trial
-    acc = np.zeros((2, d2, d2), dtype=complex)
+    # one density sum while every trial's two outputs agree, then one per arm
+    acc = np.zeros((1, d2, d2), dtype=complex)
     layered = {
         row: make_layered_instance(base_oracle, base_truth, "grover", g=PointFunction(n, row))
         for row in (None, *range(1 << n))
     }
 
     def one(t, rng):
+        nonlocal acc
         pi = rng.permutation(d2)
         sigma = rng.permutation(d2)
         y = int(rng.integers(1 << n))
-        records = []
-        for arm, row in enumerate((None, y)):
+        records, outputs = [], []
+        for row in (None, y):
             instance = layered[row]
             g = instance.mixer2n.point
             before = g.queries
             alg = alg_factory()
             state, _, _ = run_counterfeiter(alg, apply_hiding(instance, pi, sigma), s, rng)
-            v = state.amp.reshape(-1)
-            k = np.flatnonzero(v)
-            acc[arm][k] += np.outer(v[k], v.conj())
+            outputs.append(state.amp.reshape(-1))
             records.append((g.queries - before, getattr(alg, "last_detected", False)))
+        if len(acc) == 1 and outputs[0].tobytes() != outputs[1].tobytes():
+            acc = np.concatenate((acc, acc))
+        for arm_sum, v in zip(acc, outputs):
+            k = np.flatnonzero(v)
+            arm_sum[k] += np.outer(v[k], v.conj())
         return records
 
     per_trial = run_seeded_trials(one, trials, seed)
     rho_zero = DensityMatrix(acc[0] / trials)
-    rho_point = DensityMatrix(acc[1] / trials)
+    rho_point = DensityMatrix(acc[1] / trials) if len(acc) == 2 else rho_zero
     return DistinguishingReport(
         rho_zero=rho_zero,
         rho_point=rho_point,

@@ -144,7 +144,9 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL * max(1, m.shape[0]):
             raise InvalidArgumentError(f"trace {tr} is not 1")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-8:
+        # a matrix with no imaginary part takes the real solver: complex
+        # LAPACK calls wake OpenBLAS's worker thread, which then spins
+        if np.min(np.linalg.eigvalsh(m.real if not m.imag.any() else m)) < -1e-8:
             raise InvalidArgumentError("density matrix is not PSD")
         self.matrix = m
 
@@ -165,18 +167,20 @@ def _as_matrix(obj) -> np.ndarray:
 
 
 def trace_distance(a, b) -> float:
-    """(1/2) ||a - b||_1 via eigenvalues of the Hermitian difference."""
+    """(1/2) ||a - b||_1 via eigenvalues of the Hermitian difference.
+
+    Equal inputs give exactly 0.0 without an eigen-solve, as the solver
+    would: its eigenvalues of the zero matrix are zeros.
+    """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise InvalidArgumentError("dimension mismatch")
     d = ma - mb
     if np.max(np.abs(d - d.conj().T)) > 1e-8:
         raise InvalidArgumentError("inputs are not Hermitian")
+    if not d.any():
+        return 0.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(d))))
-
-
-def state_fidelity(a: QuantumState, b: QuantumState) -> float:
-    return float(abs(a.overlap(b)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -278,31 +282,6 @@ def measure_component_projector(
         probability_one=p1,
         ancilla_fidelity=fidelity,
     )
-
-
-def component_projector_matrix(oracle: MixerOracle) -> np.ndarray:
-    """|Ind|^-1 sum_j Mtilde_j as a dense matrix on all 2^n basis states."""
-    dim = 1 << oracle.n
-    fwd, _ = oracle.permutation_tables()
-    acc = np.zeros((dim, dim))
-    np.add.at(acc, (fwd, np.arange(dim)), 1.0)
-    return acc / len(oracle.index_ints)
-
-
-def exact_component_projector(truth) -> np.ndarray:
-    """P = sum_k |S_k><S_k| plus the identity on garbage.
-
-    The mixer acts as the identity on basis states outside S, so the
-    averaged-mixer matrix equals P extended by the garbage identity.
-    """
-    dim = 1 << truth.n
-    p = np.zeros((dim, dim))
-    for cid in range(1, truth.num_components + 1):
-        elems = list(truth.component_elements(cid))
-        p[np.ix_(elems, elems)] = 1.0 / len(elems)
-    for x in truth.garbage:
-        p[x, x] = 1.0
-    return p
 
 
 def swap_test(state: QuantumState, rng, axis1: int = 0, axis2: int = 1):

@@ -45,8 +45,8 @@ from mixerlab.protocols import (
     sd_reduction_mbcp,
     sd_reduction_scp,
 )
-from mixerlab.quantum import component_projector_matrix, exact_component_projector
 from mixerlab.verify import full_connectivity_witness
+from quantum_reference import component_projector_matrix, exact_component_projector
 
 
 def finish(capsys, name, started, limit, ok, detail=""):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from mixerlab import (
     make_coset_mixer,
     make_graph_iso_mixer,
     make_offset_mixer,
-    state_fidelity,
     trace_distance,
 )
 from mixerlab.counterfeit import (
@@ -27,6 +28,7 @@ from mixerlab.counterfeit import (
 from mixerlab.errors import InvalidArgumentError
 from mixerlab.layered import apply_hiding, hide_instance, make_layered_instance
 from mixerlab.trials import run_seeded_trials
+from quantum_reference import state_fidelity
 
 
 @pytest.fixture
@@ -210,6 +212,67 @@ def test_distinguishing_matches_per_trial_dense_reference(base_name, alg, seed):
     for rho, expected in [(report.rho_zero, reference.rho_zero), (report.rho_point, reference.rho_point)]:
         assert np.array_equal(rho.matrix, expected.matrix)
         assert rho.matrix.tobytes() == expected.matrix.tobytes()  # the signs of zeros too
+
+
+class _DivergingCounterfeiter:
+    """The reference output, or on request a changed one: the all-zeros flag
+    state, or the same state times i (other bytes, the same density)."""
+
+    def __init__(self, change):
+        self.change = change
+
+    def __call__(self, mixer, label, start, rng):
+        state = ReferenceCounterfeiter()(mixer, label, start, rng)
+        if self.change == "flag":
+            return QuantumState.basis(state.dims, 0)
+        if self.change == "phase":
+            return QuantumState(state.dims, 1j * state.amp)
+        return state
+
+
+def _diverging_factory(first, change):
+    """Counterfeiters whose marked-point arm changes its output from trial
+    ``first`` on (never when ``first`` is None). Both drivers make one per
+    arm per trial, the g = 0 arm first, so the call count gives both."""
+    calls = itertools.count()
+
+    def factory():
+        t, arm = divmod(next(calls), 2)
+        return _DivergingCounterfeiter(change if arm and first is not None and t >= first else None)
+
+    return factory
+
+
+@pytest.mark.parametrize("first, change", [
+    (0, "flag"), (9, "flag"), (0, "phase"), (9, "phase"), (None, None),
+])
+def test_arms_share_one_sum_until_their_outputs_first_differ(first, change):
+    oracle, truth = DISTINGUISHING_BASES["offset3"]()
+    report = distinguishing_experiment(oracle, truth, 0, _diverging_factory(first, change), 24, 3)
+    reference = _per_trial_dense_reference(oracle, truth, 0, _diverging_factory(first, change), 24, 3)
+    assert report.to_json_dict() == reference.to_json_dict()
+    for rho, expected in [(report.rho_zero, reference.rho_zero), (report.rho_point, reference.rho_point)]:
+        assert rho.matrix.tobytes() == expected.matrix.tobytes()
+    assert (report.rho_point is report.rho_zero) == (first is None)
+    if first is None or change == "phase":
+        assert report.distance == 0.0
+    else:
+        assert report.distance > 0.1
+
+
+def test_a_reference_run_makes_no_lapack_call_on_a_complex_array(monkeypatch):
+    oracle, truth = DISTINGUISHING_BASES["offset3"]()
+    calls = []
+    for name in ["eigvalsh", "eigh", "eigvals", "eig", "svd", "solve", "inv", "det",
+                 "slogdet", "lstsq", "pinv", "matrix_rank", "cholesky", "qr"]:
+        def recording(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.asarray(a).dtype))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    report = distinguishing_experiment(oracle, truth, 0, ReferenceCounterfeiter, trials=40, seed=5)
+    assert report.distance == 0.0
+    assert calls == [("eigvalsh", np.float64)]  # rho_zero's PSD check
 
 
 @pytest.mark.parametrize("trials", [1, 3, 40])

@@ -25,12 +25,9 @@ from mixerlab.errors import InvalidArgumentError
 from mixerlab.instances import GROVER_MAX_N, instance_from_config
 from mixerlab.layered import hide_instance, make_layered_instance
 from mixerlab.oracle import QUERY_KINDS, MixerOracle
-from mixerlab.quantum import (
-    QuantumState,
-    component_projector_matrix,
-    measure_component_projector,
-)
+from mixerlab.quantum import QuantumState, measure_component_projector
 from mixerlab.verify import sweep_mixer
+from quantum_reference import component_projector_matrix
 
 
 @pytest.fixture

@@ -10,20 +10,18 @@ from mixerlab import (
     MixerOracle,
     PointFunction,
     QuantumState,
-    component_projector_matrix,
-    exact_component_projector,
     make_coset_mixer,
     make_graph_iso_mixer,
     make_grover_mixer,
     make_offset_mixer,
     measure_component_projector,
-    state_fidelity,
     swap_test,
     trace_distance,
 )
 from mixerlab.errors import InvalidArgumentError
 from mixerlab.protocols import build_qma_witness
 from mixerlab.quantum import STATE_DIM_CAP, _move_axis, _norm
+from quantum_reference import component_projector_matrix, exact_component_projector, state_fidelity
 from test_verify import partitions, restricted
 
 
@@ -119,6 +117,58 @@ def test_trace_distance_basic():
     )
     mixed = DensityMatrix(np.eye(2) / 2)
     assert trace_distance(a, mixed) == pytest.approx(0.5)
+
+
+def _recording_eigvalsh(monkeypatch):
+    """Patch ``np.linalg.eigvalsh`` to record each input's dtype."""
+    dtypes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return dtypes
+
+
+def test_trace_distance_of_equal_inputs_is_zero_without_an_eigen_solve(monkeypatch):
+    v = np.exp(2j * np.pi * np.arange(4) / 5) / 2
+    rho = DensityMatrix(np.outer(v, v.conj()))
+    copy = DensityMatrix(rho.matrix.copy())
+    # the value the solver gives on a zero difference, sign bit included
+    solved = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(np.zeros((4, 4), complex)))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for a, b in [(rho, rho), (rho, copy), (rho.matrix, copy.matrix)]:
+        distance = trace_distance(a, b)
+        assert type(distance) is float
+        assert np.float64(distance).tobytes() == np.float64(solved).tobytes()
+    with pytest.raises(InvalidArgumentError, match="not Hermitian"):
+        trace_distance(rho.matrix, rho.matrix + np.triu(np.ones((4, 4)), 1))
+
+
+def test_a_matrix_with_no_imaginary_part_is_checked_in_real_arithmetic(monkeypatch):
+    dtypes = _recording_eigvalsh(monkeypatch)
+    real = np.eye(4, dtype=complex) / 4
+    assert real.dtype == np.complex128
+    DensityMatrix(real)
+    v = np.array([1, 1j]) / np.sqrt(2)
+    DensityMatrix(np.outer(v, v.conj()))
+    assert dtypes == [np.float64, np.complex128]
+
+
+@pytest.mark.parametrize("matrix, dtype", [
+    (np.diag([1.5, -0.5]).astype(complex), np.float64),
+    (np.array([[0.5, 1j], [-1j, 0.5]]), np.complex128),  # eigenvalues 1.5 and -0.5
+])
+def test_a_non_psd_matrix_is_refused_on_both_paths(monkeypatch, matrix, dtype):
+    dtypes = _recording_eigvalsh(monkeypatch)
+    with pytest.raises(InvalidArgumentError, match="not PSD"):
+        DensityMatrix(matrix)
+    assert dtypes == [dtype]
 
 
 def test_density_average_and_purity():
