@@ -29,6 +29,7 @@ from .counterfeit import (
 )
 from .errors import (
     BudgetExhaustedError,
+    InvalidArgumentError,
     MalformedQueryError,
     MixerError,
     PromiseViolationError,
@@ -52,26 +53,29 @@ from .verify import instant_mixing_bound, sweep_mixer
 SCHEMA_VERSION = 1
 
 # experiment -> (top-level fields it reads, {"params.<key>" or
-# "budgets.<key>": what that key takes}); no other params or budgets key is
-# accepted
+# "budgets.<key>": (low, high) for an int key, high None when unbounded; a
+# tuple of names for a named key, the first its default; or else what the key
+# takes}, the column of its per-trial CSV or None). No other params or budgets
+# key is accepted, and list-experiments prints this table.
 EXPERIMENTS = {
-    "am": ("instance, trials, seed", {"params.merlin": "honest or optimal_cheat"}),
-    "coam": ("instance, trials, seed", {}),
+    "am": ("instance, trials, seed", {"params.merlin": ("honest", "optimal_cheat")}, "accept"),
+    "coam": ("instance, trials, seed", {}, "accept"),
     "counterfeit": ("instance (base), trials, seed", {
-        "params.alg": "reference or scan",
-        "params.scan_count": "int, at least 0",
+        "params.alg": ("reference", "scan"),
+        "params.scan_count": (0, None),
         "params.s": "bit string",
-        "budgets.counterfeiter": "int, at least 0",
-    }),
+        "budgets.counterfeiter": (0, None),
+    }, None),
     "grover-embed": ("trials, seed", {
-        "params.n": f"int, 1..{GROVER_MAX_N}",
-        "params.q": f"int, 0..{GROVER_MAX_Q}",
-    }),
-    "projector-demo": ("instance, trials, seed", {"params.s": "bit string"}),
-    "qma": ("instance, trials, seed", {"params.k1": "component id", "params.k2": "component id"}),
-    "sd-mbcp": ("instance, seed", {}),
-    "sd-scp": ("instance, seed", {"params.s": "bit string", "params.t": "bit string"}),
-    "verify-mixer": ("instance, seed", {}),
+        "params.n": (1, GROVER_MAX_N),
+        "params.q": (0, GROVER_MAX_Q),
+    }, None),
+    "projector-demo": ("instance, trials, seed", {"params.s": "bit string"}, "outcome"),
+    "qma": ("instance, trials, seed",
+            {"params.k1": "component id", "params.k2": "component id"}, "accept"),
+    "sd-mbcp": ("instance, seed", {}, None),
+    "sd-scp": ("instance, seed", {"params.s": "bit string", "params.t": "bit string"}, None),
+    "verify-mixer": ("instance, seed", {}, None),
 }
 
 _TOP_LEVEL_FIELDS = {
@@ -79,8 +83,14 @@ _TOP_LEVEL_FIELDS = {
 }
 
 
-class ConfigError(Exception):
-    pass
+def _describe(spec) -> str:
+    """What a params or budgets key takes, from its :data:`EXPERIMENTS` entry."""
+    if isinstance(spec, str):
+        return spec
+    if isinstance(spec[0], str):
+        return " or ".join(spec)
+    low, high = spec
+    return f"int, at least {low}" if high is None else f"int, {low}..{high}"
 
 
 def _load_config(path: str) -> dict:
@@ -88,103 +98,99 @@ def _load_config(path: str) -> dict:
         with open(path) as fh:
             config = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise InvalidArgumentError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from exc
+        raise InvalidArgumentError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+        raise InvalidArgumentError("config must be a JSON object")
     unknown = set(config) - _TOP_LEVEL_FIELDS
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise InvalidArgumentError(f"unknown config fields: {sorted(unknown)}")
     if "seed" not in config:
-        raise ConfigError("seed is mandatory")
+        raise InvalidArgumentError("seed is mandatory")
     if not isinstance(config.get("output", ""), str):
-        raise ConfigError(f"output must be a path string, got {config['output']!r}")
+        raise InvalidArgumentError(f"output must be a path string, got {config['output']!r}")
     name = config.get("experiment")
     if not isinstance(name, str) or name not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment must be one of {sorted(EXPERIMENTS)}"
-        )
+        raise InvalidArgumentError(f"experiment must be one of {sorted(EXPERIMENTS)}")
     keys = EXPERIMENTS[name][1]
     for section in ("params", "budgets"):
         given = config.get(section, {})
         if not isinstance(given, dict):
-            raise ConfigError(f"{section} must be a JSON object")
+            raise InvalidArgumentError(f"{section} must be a JSON object")
         for key in given:
             if f"{section}.{key}" not in keys:
-                raise ConfigError(f"unknown {section} key {key!r} for experiment {name}")
+                raise InvalidArgumentError(f"unknown {section} key {key!r} for experiment {name}")
     return config
 
 
 _REQUIRED = object()
 
 
-def _field(section: dict, label: str, default=_REQUIRED):
-    """The value that ``label`` ("instance", "params.s", ...) names in
-    ``section``, or ``default``; a missing required field is a config error
-    naming it."""
-    key = label.rpartition(".")[2]
-    if key in section:
-        return section[key]
+def _field(config: dict, label: str, default=_REQUIRED):
+    """The field ``label`` ("instance", "params.s", ...) of ``config``, or
+    ``default``; a missing required field is a config error naming it."""
+    section, _, key = label.rpartition(".")
+    given = config.get(section, {}) if section else config
+    if key in given:
+        return given[key]
     if default is _REQUIRED:
-        raise ConfigError(f"{label} is required")
+        raise InvalidArgumentError(f"{label} is required")
     return default
 
 
-def _int_field(section: dict, label: str, default=_REQUIRED, low=None, high=None):
-    """:func:`_field` for a field that takes a JSON integer, at least ``low``
-    and at most ``high`` where given."""
-    value = _field(section, label, default)
-    if value is default:
-        return value
-    check_int(value, label)
-    if high is not None and not low <= value <= high:
-        raise ConfigError(f"{label} must be between {low} and {high}, got {value}")
-    if low is not None and value < low:
-        raise ConfigError(f"{label} must be at least {low}, got {value}")
+def _key(config: dict, label: str, default=_REQUIRED):
+    """The int or named key ``label`` ("params.q", "params.alg", ...) of
+    ``config``, checked against its experiment's :data:`EXPERIMENTS` entry: an
+    int in its range, or one of its names (the first when the key is absent)."""
+    spec = EXPERIMENTS[config["experiment"]][1][label]
+    if isinstance(spec[0], int):
+        value = _field(config, label, default)
+        return value if value is default else check_int(value, label, *spec)
+    value = _field(config, label, spec[0])
+    if value not in spec:
+        raise InvalidArgumentError(f"{label} must be {_describe(spec)}, got {value!r}")
     return value
 
 
-def _element_field(section: dict, label: str, n: int) -> int:
+def _element_field(config: dict, label: str, n: int) -> int:
     """:func:`_field` for a required n-bit element, given as a bit string or
     an integer."""
-    value = _field(section, label)
+    value = _field(config, label)
     if not isinstance(value, str):
         check_int(value, label)
     try:
         return as_int(value, n)
     except MalformedQueryError as exc:
-        raise ConfigError(f"{label}: {exc}") from None
+        raise InvalidArgumentError(f"{label}: {exc}") from None
 
 
-def _rate_payload(est, extra: dict | None = None) -> dict:
-    payload = {"accept_rate": est.estimate, "ci95": est.ci95, "trials": est.trials}
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _rows(outcomes, column: str, value):
-    """The per-trial CSV rows, built only if they are read (``--csv``)."""
-    return ({"trial": t, column: value(o)} for t, o in enumerate(outcomes))
+def _trial_results(est, column: str, value, **extra):
+    """A trial experiment's payload (its acceptance estimate and ``extra``)
+    and its per-trial CSV rows, ``value(record)`` in ``column``; the rows are
+    built only if they are read (``--csv``)."""
+    payload = {"accept_rate": est.estimate, "ci95": est.ci95, "trials": est.trials, **extra}
+    return payload, ({"trial": t, column: value(o)} for t, o in enumerate(est.outcomes))
 
 
 def _run_experiment(config: dict):
+    """The experiment's results payload and its per-trial CSV rows (none for
+    an experiment without a CSV column)."""
     name = config["experiment"]
-    seed = _int_field(config, "seed", low=0)
-    trials = _int_field(config, "trials", 1000, low=1, high=MAX_TRIALS)
-    params = dict(config.get("params", {}))
-    budgets = dict(config.get("budgets", {}))
-    rows = []
+    seed = check_int(_field(config, "seed"), "seed", 0)
+    trials = check_int(_field(config, "trials", 1000), "trials", 1, MAX_TRIALS)
+    column = EXPERIMENTS[name][2]
 
     if name == "grover-embed":
-        report = grover_embedding_query_experiment(
-            n=_int_field(params, "params.n", low=1, high=GROVER_MAX_N),
-            q=_int_field(params, "params.q", low=0, high=GROVER_MAX_Q),
-            trials=trials, seed=seed,
-        )
-        return report.to_json_dict(), rows
+        n, q = _key(config, "params.n"), _key(config, "params.q")
+        est = grover_embedding_query_experiment(n, q, trials, seed)
+        g_queries = [g for _, g in est.outcomes]
+        return {"q": q, "trials": trials, "success_rate": est.estimate, "ci95": est.ci95,
+                "g_queries_mean": sum(g_queries) / trials, "g_queries_max": max(g_queries)}, ()
 
+    # a named key is checked before the instance is built
+    merlin = _key(config, "params.merlin") if name == "am" else None
+    alg = _key(config, "params.alg") if name == "counterfeit" else None
     bundle = instance_from_config(_field(config, "instance"))
     oracle, truth = bundle.oracle, bundle.truth
 
@@ -199,65 +205,53 @@ def _run_experiment(config: dict):
             "instant_mixing_bound": instant_mixing_bound(truth.n),
             "meets_bound": tv <= instant_mixing_bound(truth.n),
             "full_connectivity_ok": sweep.full_connectivity(),
-        }, rows
+        }, ()
 
     if name == "am":
-        merlin = params.get("merlin", "honest")
         est = run_am_mbcp(oracle, truth, merlin, trials, seed)
-        rows = _rows(est.outcomes, "accept", lambda o: int(o[0]))
-        return _rate_payload(
-            est, {"merlin": merlin, "arthur_queries_per_trial": est.outcomes[0][1]}
-        ), rows
+        return _trial_results(est, column, lambda o: int(o[0]), merlin=merlin,
+                              arthur_queries_per_trial=est.outcomes[0][1])
 
     if name == "coam":
-        est = run_coam_mbcp(oracle, truth, trials, seed)
-        return _rate_payload(est), _rows(est.outcomes, "accept", int)
+        return _trial_results(run_coam_mbcp(oracle, truth, trials, seed), column, int)
 
     if name == "qma":
         if truth.num_components > 1:
-            k1 = _int_field(params, "params.k1", 1)
-            k2 = _int_field(params, "params.k2", 2)
+            k1 = check_int(_field(config, "params.k1", 1), "params.k1")
+            k2 = check_int(_field(config, "params.k2", 2), "params.k2")
             witness = build_qma_witness(truth, k1, k2)
         else:
             single = QuantumState.uniform(1 << truth.n, truth.members)
             witness = single.tensor(single)
-        est = run_qma_mc(oracle, witness, trials, seed)
-        return _rate_payload(est), _rows(est.outcomes, "accept", int)
+        return _trial_results(run_qma_mc(oracle, witness, trials, seed), column, int)
 
     if name == "sd-scp":
-        s = _element_field(params, "params.s", truth.n)
-        t = _element_field(params, "params.t", truth.n)
-        return {"statistical_difference": sd_reduction_scp(oracle, truth, s, t)}, rows
+        s = _element_field(config, "params.s", truth.n)
+        t = _element_field(config, "params.t", truth.n)
+        return {"statistical_difference": sd_reduction_scp(oracle, truth, s, t)}, ()
 
     if name == "sd-mbcp":
-        return {"statistical_difference": sd_reduction_mbcp(oracle, truth)}, rows
+        return {"statistical_difference": sd_reduction_mbcp(oracle, truth)}, ()
 
     if name == "projector-demo":
-        s = _element_field(params, "params.s", truth.n)
+        s = _element_field(config, "params.s", truth.n)
         comp_size = len(truth.component_elements(truth.component_id(s)))
         est = run_projector_demo(oracle, s, trials, seed)
-        rows = _rows(est.outcomes, "outcome", lambda o: o[0])
-        return _rate_payload(
-            est,
-            {"expected_rate": 1.0 / comp_size, "cm_queries_per_call": est.outcomes[0][1]},
-        ), rows
+        return _trial_results(est, column, lambda o: o[0], expected_rate=1.0 / comp_size,
+                              cm_queries_per_call=est.outcomes[0][1])
 
-    if name == "counterfeit":
-        alg_name = params.get("alg", "reference")
-        budget = _int_field(budgets, "budgets.counterfeiter", None, low=0)
-        scan_count = _int_field(params, "params.scan_count", 0, low=0)
-        if alg_name == "reference":
-            factory = lambda: ReferenceCounterfeiter(budget=budget)
-        elif alg_name == "scan":
-            factory = lambda: LabelScanningCounterfeiter(scan_count, budget=budget)
-        else:
-            raise ConfigError(f"unknown counterfeiter {alg_name!r}")
-        s = (_element_field(params, "params.s", truth.n) if "s" in params
-             else truth.component_elements(1)[0])
-        report = distinguishing_experiment(oracle, truth, s, factory, trials, seed)
-        return report.to_json_dict(), rows
-
-    raise ConfigError(f"unknown experiment {name!r}")
+    # counterfeit, the one experiment left
+    budget = _key(config, "budgets.counterfeiter", None)
+    scan_count = _key(config, "params.scan_count", 0)
+    if alg == "reference":
+        factory = lambda: ReferenceCounterfeiter(budget=budget)
+    else:
+        factory = lambda: LabelScanningCounterfeiter(scan_count, budget=budget)
+    s = (_element_field(config, "params.s", truth.n) if "s" in config.get("params", {})
+         else truth.component_elements(1)[0])
+    report = distinguishing_experiment(oracle, truth, s, factory, trials, seed)
+    fields = ("distance", "g_queries_max", "trials", "detections_zero", "detections_point")
+    return {field: getattr(report, field) for field in fields}, ()
 
 
 def _check_writable(path: str):
@@ -289,7 +283,10 @@ def _write_all(files):
 def run_command(args) -> int:
     try:
         config = _load_config(args.config)
-    except ConfigError as exc:
+        name = config["experiment"]
+        if args.csv and EXPERIMENTS[name][2] is None:
+            raise InvalidArgumentError(f"experiment {name} has no per-trial CSV rows")
+    except InvalidArgumentError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.trials is not None:
@@ -314,7 +311,7 @@ def run_command(args) -> int:
     except BudgetExhaustedError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, MixerError) as exc:
+    except MixerError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     wall = time.monotonic() - start
@@ -329,10 +326,9 @@ def run_command(args) -> int:
     files = []
     if output:
         files.append((output, json.dumps(report, indent=2, sort_keys=True) + "\n", None))
-    rows = list(rows) if args.csv else []
-    if rows:
+    if args.csv:
         table = io.StringIO()
-        writer = csv.DictWriter(table, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(table, fieldnames=["trial", EXPERIMENTS[name][2]])
         writer.writeheader()
         writer.writerows(rows)
         files.append((args.csv, table.getvalue(), ""))
@@ -342,15 +338,15 @@ def run_command(args) -> int:
         print(f"output error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     summary = {k: v for k, v in results.items() if not isinstance(v, (list, dict))}
-    print(f"{config['experiment']}: " + json.dumps(summary, sort_keys=True))
+    print(f"{name}: " + json.dumps(summary, sort_keys=True))
     return 0
 
 
 def list_experiments_command(_args) -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
-        fields, keys = EXPERIMENTS[name]
-        described = "".join(f"; {key} ({what})" for key, what in keys.items())
+        fields, keys, _ = EXPERIMENTS[name]
+        described = "".join(f"; {key} ({_describe(spec)})" for key, spec in keys.items())
         print(f"{name:<{width}}  {fields}{described}")
     return 0
 

@@ -158,15 +158,6 @@ class DistinguishingReport:
     detections_zero: int = 0
     detections_point: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "g_queries_max": self.g_queries_max,
-            "trials": self.trials,
-            "detections_zero": self.detections_zero,
-            "detections_point": self.detections_point,
-        }
-
 
 def distinguishing_experiment(
     base_oracle: MixerOracle,
@@ -322,34 +313,15 @@ def fixed_point_probe_tester(session: QuerySession, n: int, q: int, rng) -> str:
     return "single"
 
 
-@dataclass
-class GroverEmbeddingReport:
-    q: int
-    trials: int
-    success_rate: float
-    ci95: float
-    g_queries_mean: float
-    g_queries_max: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "trials": self.trials,
-            "success_rate": self.success_rate,
-            "ci95": self.ci95,
-            "g_queries_mean": self.g_queries_mean,
-            "g_queries_max": self.g_queries_max,
-        }
-
-
 def grover_embedding_query_experiment(
     n: int, q: int, trials: int, seed: int, tester=fixed_point_probe_tester
-) -> GroverEmbeddingReport:
+) -> EstimatedProbability:
     """Run a classical component-count tester against Grover-embedding mixers.
 
     Half the trials use an all-zeros point function ("single" is correct),
     half a uniformly random marked point ("multiple" is correct). Every
-    mixer application costs two point-function queries.
+    mixer application costs two point-function queries. Returns the tester's
+    success rate over per-trial (correct, g queries) records.
     """
     def one(t, rng):
         marked = t % 2 == 1
@@ -360,15 +332,6 @@ def grover_embedding_query_experiment(
         expected = "multiple" if marked else "single"
         return answer == expected, g.queries
 
-    est = EstimatedProbability.from_outcomes(
+    return EstimatedProbability.from_outcomes(
         run_seeded_trials(one, trials, seed), accepted=lambda r: r[0]
-    )
-    g_queries = [g for _, g in est.outcomes]
-    return GroverEmbeddingReport(
-        q=q,
-        trials=trials,
-        success_rate=est.estimate,
-        ci95=est.ci95,
-        g_queries_mean=sum(g_queries) / trials,
-        g_queries_max=max(g_queries),
     )

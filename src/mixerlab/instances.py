@@ -17,6 +17,7 @@ identity map.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +27,14 @@ from .errors import InvalidArgumentError, MalformedQueryError, check_int
 from .oracle import MixerOracle
 from .partition import GroundTruthPartition
 
-# make_coset_mixer enumerates every member and index, and a grover ground
-# truth every member; both caps allow at most 2^16 members. GROVER_MAX_Q caps
-# the probes a grover-embed tester draws up front (2q values per trial).
+# make_coset_mixer enumerates every member and index, a grover ground truth
+# every member, and make_offset_mixer every offset tuple; the caps allow at
+# most 2^16 of each. GROVER_MAX_Q caps the probes a grover-embed tester draws
+# up front (2q values per trial).
 GROVER_MAX_N = 16
 GROVER_MAX_Q = 1 << 16
 COSET_MAX_MODULUS = 1 << 16
+OFFSET_MAX_INDICES = 1 << 16
 
 
 def _field_width(size: int) -> int:
@@ -68,11 +71,17 @@ def make_offset_mixer(truth: GroundTruthPartition) -> MixerOracle:
 
     Ind is the set of tuples (k_1, ..., k_c) with k_a < |S_a|, encoded as
     concatenated fixed-width fields in product order. Uniform offsets give
-    exactly uniform outputs within each component.
+    exactly uniform outputs within each component. At most
+    :data:`OFFSET_MAX_INDICES` tuples, checked before any is enumerated.
     """
     c = truth.num_components
     comps = [truth.component_elements(a) for a in range(1, c + 1)]
     sizes = [len(comp) for comp in comps]
+    count = math.prod(sizes)
+    if count > OFFSET_MAX_INDICES:
+        raise InvalidArgumentError(
+            f"offset mixer of {count} indices exceeds the cap {OFFSET_MAX_INDICES}"
+        )
     widths = [_field_width(size) for size in sizes]
     pos = {x: (a, p) for a, comp in enumerate(comps) for p, x in enumerate(comp)}
     offsets = {
@@ -190,10 +199,7 @@ def make_coset_mixer(
     encoded in n bits. An empty generator set gives H = {0} and every element
     its own component. ``modulus`` runs from 1 to :data:`COSET_MAX_MODULUS`.
     """
-    if not 1 <= modulus <= COSET_MAX_MODULUS:
-        raise InvalidArgumentError(
-            f"coset modulus must be between 1 and {COSET_MAX_MODULUS}, got {modulus}"
-        )
+    check_int(modulus, "coset modulus", 1, COSET_MAX_MODULUS)
     n = _field_width(modulus)
     h = subgroup_closure(modulus, generators)
     truth = _orbit_partition(n, range(modulus), lambda x: ((x + e) % modulus for e in h))
@@ -253,8 +259,7 @@ def make_grover_mixer(n: int, g: PointFunction) -> MixerOracle:
     Note the case formula is only approximately invertible near the marked
     point; round-trip identities hold exactly only for g all zeros.
     """
-    if not 1 <= n <= GROVER_MAX_N:
-        raise InvalidArgumentError(f"grover n must be between 1 and {GROVER_MAX_N}, got {n}")
+    check_int(n, "grover n", 1, GROVER_MAX_N)
     dim = 1 << n
 
     # g(r) = 1 iff r == g.y; y is None (never equal) when g is all zeros
@@ -313,9 +318,7 @@ def instance_from_config(spec: dict) -> InstanceBundle:
         raise InvalidArgumentError(f"an instance spec must be a JSON object, got {spec!r}")
     spec = dict(spec)
     family = spec.pop("family", None)
-    seed = check_int(spec.pop("seed", 0), "instance seed")
-    if seed < 0:
-        raise InvalidArgumentError(f"instance seed must be at least 0, got {seed}")
+    seed = check_int(spec.pop("seed", 0), "instance seed", 0)
     if family == "offset":
         truth = GroundTruthPartition.from_json_dict(_take(spec, "partition", family))
         _reject_unknown(spec, "offset")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mixerlab import GroundTruthPartition, cli, layered
+from mixerlab import GroundTruthPartition, cli, layered, make_offset_mixer
+from mixerlab.counterfeit import LabelScanningCounterfeiter, distinguishing_experiment
 from mixerlab.layered import LAYERED_MAX_MEMBERS
 from mixerlab.quantum import STATE_DIM_CAP
 from mixerlab.trials import MAX_TRIALS
@@ -40,16 +42,25 @@ def load_payload(path):
     return report
 
 
+LIST_EXPERIMENTS = """\
+am              instance, trials, seed; params.merlin (honest or optimal_cheat)
+coam            instance, trials, seed
+counterfeit     instance (base), trials, seed; params.alg (reference or scan); \
+params.scan_count (int, at least 0); params.s (bit string); budgets.counterfeiter (int, at least 0)
+grover-embed    trials, seed; params.n (int, 1..16); params.q (int, 0..65536)
+projector-demo  instance, trials, seed; params.s (bit string)
+qma             instance, trials, seed; params.k1 (component id); params.k2 (component id)
+sd-mbcp         instance, seed
+sd-scp          instance, seed; params.s (bit string); params.t (bit string)
+verify-mixer    instance, seed
+"""
+
+
 def test_list_experiments():
+    # byte for byte: the text is derived from the experiment table
     proc = run_cli("list-experiments")
     assert proc.returncode == 0
-    names = [line.split()[0] for line in proc.stdout.strip().splitlines()]
-    assert "verify-mixer" in names and "counterfeit" in names
-    assert names == sorted(names)
-    counterfeit = next(line for line in proc.stdout.splitlines() if line.startswith("counterfeit"))
-    assert "params.s" in counterfeit and "budgets.counterfeiter" in counterfeit
-    grover = next(line for line in proc.stdout.splitlines() if line.startswith("grover-embed"))
-    assert "params.q (int, 0..65536)" in grover
+    assert proc.stdout == LIST_EXPERIMENTS
 
 
 def test_verify_mixer_run_and_report_shape(tmp_path):
@@ -107,6 +118,26 @@ def test_csv_export(tmp_path):
     lines = open(csv_path).read().strip().splitlines()
     assert lines[0] == "trial,accept"
     assert len(lines) == 51
+
+
+def test_scan_counterfeit_report_is_the_library_run_field_for_field(tmp_path, capsys):
+    # the scan distance's last bit depends on the BLAS kernel, so this compares
+    # against the library run in the same process instead of pinned bytes
+    config = {"experiment": "counterfeit", "seed": 3, "trials": 40,
+              "instance": {"family": "offset", "partition": PARTITION},
+              "params": {"alg": "scan", "scan_count": 5}}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_config(tmp_path, "c.json", config), "--output", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    truth = GroundTruthPartition.from_json_dict(PARTITION)
+    report = distinguishing_experiment(
+        make_offset_mixer(truth), truth, 0, lambda: LabelScanningCounterfeiter(5), 40, 3
+    )
+    assert results == {key: getattr(report, key) for key in results}
+    assert sorted(results) == [
+        "detections_point", "detections_zero", "distance", "g_queries_max", "trials",
+    ]
+    assert results["distance"] > 0
 
 
 def test_missing_seed_is_a_config_error(tmp_path):
@@ -247,15 +278,68 @@ def test_a_failed_write_leaves_no_report(tmp_path, monkeypatch, capsys, lost):
 
 @pytest.mark.parametrize("experiment", ["am", "coam"])
 def test_trial_rows_are_built_only_for_csv(tmp_path, monkeypatch, experiment):
-    rows = cli._rows
+    results = cli._trial_results
 
     def unbuilt(trial_outcome):
         pytest.fail("a trial row was built without --csv")
 
-    monkeypatch.setattr(cli, "_rows", lambda outcomes, column, value: rows(outcomes, column, unbuilt))
+    monkeypatch.setattr(cli, "_trial_results",
+                        lambda est, column, value, **extra: results(est, column, unbuilt, **extra))
     config = {**COAM, "experiment": experiment, "output": str(tmp_path / "r.json")}
     assert cli.main(["run", write_config(tmp_path, "c.json", config)]) == 0
     assert (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("verify-mixer", {}),
+    ("sd-scp", {"s": "00", "t": "10"}),
+    ("sd-mbcp", {}),
+    ("counterfeit", {}),
+    ("grover-embed", {"n": 4, "q": 2}),
+])
+def test_csv_for_an_experiment_without_trial_rows_is_refused_before_it_runs(
+    tmp_path, monkeypatch, capsys, experiment, params,
+):
+    monkeypatch.setattr(cli, "_run_experiment", lambda config: pytest.fail("experiment ran"))
+    config = {**COAM, "experiment": experiment, "params": params}
+    rows = tmp_path / "rows.csv"
+    assert cli.main(["run", write_config(tmp_path, "c.json", config), "--csv", str(rows)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: experiment {experiment} has no per-trial CSV rows\n"
+    )
+    assert not rows.exists()
+
+
+@pytest.mark.parametrize("experiment, key, value, names", [
+    ("am", "merlin", "cheat", "honest or optimal_cheat"),
+    ("am", "merlin", 1, "honest or optimal_cheat"),
+    ("counterfeit", "alg", "bogus", "reference or scan"),
+])
+def test_an_unknown_name_is_refused_before_the_instance_is_built(
+    tmp_path, monkeypatch, capsys, experiment, key, value, names,
+):
+    def unbuilt(*args, **kwargs):
+        pytest.fail(f"the instance was built before params.{key} was checked")
+
+    monkeypatch.setattr(cli, "instance_from_config", unbuilt)
+    config = {**COAM, "experiment": experiment, "params": {key: value}}
+    assert cli.main(["run", write_config(tmp_path, "c.json", config)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: params.{key} must be {names}, got {value!r}\n"
+    )
+
+
+def test_an_offset_mixer_over_the_index_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # 32 two-element components: 2^32 offset tuples, refused before any is built
+    pairs = GroundTruthPartition.from_components(6, [[x, x + 1] for x in range(0, 64, 2)])
+    config = {"experiment": "verify-mixer", "seed": 1,
+              "instance": {"family": "offset", "partition": pairs.to_json_dict()}}
+    path = write_config(tmp_path, "c.json", config)
+    monkeypatch.setattr(itertools, "product", lambda *args: pytest.fail("tuples enumerated"))
+    assert cli.main(["run", path]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: offset mixer of {1 << 32} indices exceeds the cap {1 << 16}\n"
+    )
 
 
 def test_invalid_json_is_a_config_error(tmp_path):

@@ -17,7 +17,12 @@ from mixerlab import (
 from hypothesis import given, settings
 
 from mixerlab.errors import InvalidArgumentError
-from mixerlab.instances import COSET_MAX_MODULUS, graph_apply_permutation, subgroup_closure
+from mixerlab.instances import (
+    COSET_MAX_MODULUS,
+    OFFSET_MAX_INDICES,
+    graph_apply_permutation,
+    subgroup_closure,
+)
 from test_verify import partitions
 
 
@@ -27,6 +32,13 @@ def test_offset_mixer_index_count():
     assert len(oracle.index_ints) == 6  # 3 * 2 offset tuples
     assert verify_no_cross_mixing(oracle, truth)
     assert verify_instant_mixing(oracle, truth) == 0.0
+
+
+def test_an_offset_mixer_at_the_index_cap_builds():
+    # 16 pairs at n = 5: exactly 2^16 offset tuples (one pair more is refused,
+    # see test_cli)
+    at_cap = GroundTruthPartition.from_components(5, [[x, x + 1] for x in range(0, 32, 2)])
+    assert len(make_offset_mixer(at_cap).index_ints) == OFFSET_MAX_INDICES == 1 << 16
 
 
 def test_graph_permutation_action():

@@ -1,7 +1,8 @@
 """Reports pinned byte for byte.
 
-``data/pinned_reports.json`` holds criterion-10's nine configs and, for
-each, the report that ``mixerlab run`` wrote for it, minus ``wall_time_s``.
+``data/pinned_reports.json`` holds criterion-10's nine configs and the am
+config with the ``optimal_cheat`` Merlin and, for each, the report that
+``mixerlab run`` wrote for it, minus ``wall_time_s``.
 Among them are the metered report fields: ``arthur_queries_per_trial`` (am),
 ``cm_queries_per_call`` (projector-demo) and ``g_queries_max`` /
 ``g_queries_mean`` (counterfeit, grover-embed). ``data/pinned_verify_reports.json``
